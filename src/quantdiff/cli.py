@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on input or validation problems (bad flags,
 unparseable files, out-of-domain parameters), 3 when the input is valid
-but statistically too degenerate for the requested inference.
+but statistically too degenerate for the requested inference, 4 when an
+internal consistency check fails (a bug; the message asks for a report).
 """
 
 from __future__ import annotations
@@ -15,24 +16,17 @@ import sys
 from typing import IO, Iterator
 
 from . import __version__
-from .baselines import donner_zou_ci, price_bonnet_ci
-from .core import (
-    ConfidenceInterval,
-    Method,
-    OrderedSample,
-    QuantileSpec,
-    TWO_SAMPLE_METHODS,
-    read_sample_csv,
-)
-from .errors import EstimationError, ValidationError
-from .region import acceptance_grid, conservative_ci, lr_test, write_acceptance_grid_csv
+from .core import OrderedSample, QuantileSpec, TWO_SAMPLE_METHODS, read_sample_csv
+from .errors import ConsistencyError, EstimationError, ValidationError
+from .region import acceptance_grid, lr_test, write_acceptance_grid_csv
 from .simulate import (
     ScenarioSpec,
+    compute_ci,
     parse_distribution,
     run_coverage_study,
+    select_methods,
     write_coverage_csv,
 )
-from .two_step import two_step_ci
 
 
 def _add_sample_args(sub: argparse.ArgumentParser) -> None:
@@ -120,23 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_methods(text: str) -> tuple[Method, ...]:
-    if text.strip() == "all":
-        return TWO_SAMPLE_METHODS
-    chosen = set()
-    for part in text.split(","):
-        name = part.strip()
-        try:
-            method = Method(name)
-        except ValueError:
-            valid = ", ".join(m.value for m in TWO_SAMPLE_METHODS)
-            raise ValidationError(f"unknown method {name!r}; valid: {valid}") from None
-        if method not in TWO_SAMPLE_METHODS:
-            raise ValidationError(f"method {name!r} is not a two-sample interval method")
-        chosen.add(method)
-    return tuple(m for m in TWO_SAMPLE_METHODS if m in chosen)
-
-
 def _use_exact(args: argparse.Namespace) -> bool | None:
     if args.exact:
         return True
@@ -161,32 +138,16 @@ def _load_samples(args: argparse.Namespace) -> tuple[OrderedSample, OrderedSampl
     return control, treatment
 
 
-def _interval(
-    method: Method,
-    control: OrderedSample,
-    treatment: OrderedSample,
-    spec: QuantileSpec,
-    use_exact: bool | None,
-) -> ConfidenceInterval:
-    if method is Method.LR_CONSERVATIVE:
-        return conservative_ci(control, treatment, spec, use_exact)
-    if method is Method.LR_TWO_STEP:
-        return two_step_ci(control, treatment, spec)
-    if method is Method.PRICE_BONNET:
-        return price_bonnet_ci(control, treatment, spec)
-    return donner_zou_ci(control, treatment, spec)
-
-
 def cmd_ci(args: argparse.Namespace) -> int:
     control, treatment = _load_samples(args)
     spec = QuantileSpec(args.q, args.alpha)
-    methods = _parse_methods(args.methods)
+    methods = select_methods(args.methods)
     use_exact = _use_exact(args)
 
     records = []
     for method in methods:
         try:
-            ci = _interval(method, control, treatment, spec, use_exact)
+            ci = compute_ci(method, control, treatment, spec, use_exact)
         except EstimationError as exc:
             raise EstimationError(f"{method.value}: {exc}") from exc
         records.append(
@@ -270,8 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.replications,
         master_seed=args.seed,
     )
-    methods = _parse_methods(args.methods)
-    rows = run_coverage_study(scenario, methods, jobs=args.jobs)
+    rows = run_coverage_study(scenario, args.methods, jobs=args.jobs)
     with _open_output(args.output) as out:
         write_coverage_csv(scenario, rows, out)
     return 0
@@ -291,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: internal error (please report): {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ class Method(str, Enum):
     LR_TWO_STEP = "lr_two_step"
     PRICE_BONNET = "price_bonnet"
     DONNER_ZOU = "donner_zou"
-    ONE_SAMPLE = "one_sample"
 
 
 #: Canonical ordering of the two-sample methods, used by the CLI and the

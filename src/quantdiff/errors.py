@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Validation errors signal bad user input (CLI exit code 2); estimation
-errors signal statistically degenerate but well-formed input (exit code 3).
+errors signal statistically degenerate but well-formed input (exit code 3);
+consistency errors signal a broken internal invariant (exit code 4).
 """
 
 

@@ -120,10 +120,16 @@ def lr_statistic_asymptotic(
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n_c}]")
     if j < 0 or j > n_t:
         raise IndexOutOfRangeError(f"count j={j} outside [0, {n_t}]")
-    value = (i - n_c * q) ** 2 / (n_c * q * (1.0 - q)) + (j - n_t * q) ** 2 / (
-        n_t * q * (1.0 - q)
-    )
+    value = asymptotic_deficit(i, q, n_c) + asymptotic_deficit(j, q, n_t)
     return LRStatistic(value=value, i_star=i, j_star=j, exact=False)
+
+
+def asymptotic_deficit(i, q: float, n: int):
+    """One sample's term (i - n q)^2 / (n q (1-q)) of the asymptotic statistic.
+
+    ``i`` is a count or an integer array of counts; no domain checks.
+    """
+    return (i - n * q) ** 2 / (n * q * (1.0 - q))
 
 
 # Acklam's rational approximation to the standard normal inverse CDF.

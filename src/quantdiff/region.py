@@ -9,23 +9,26 @@ optima.
 
 The exact statistic H(i, j) separates into per-sample deficits,
 H = g_c(i) + g_t(j), each unimodal with minimum 0 at floor(q*(n+1)). The
-conservative confidence interval scans only the marginal index windows
-where the deficits stay below the chi-square threshold; everything outside
-is provably rejected, so the windowed scan is exact.
+acceptance region scans only the marginal index windows where the
+deficits stay below the chi-square threshold; everything outside is
+provably rejected, so the windowed scan is exact. The region depends on
+(n_c, n_t, q, alpha, statistic) alone, so it is built once per such key
+and shared by the conservative interval and the grid export.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
 from .core import ConfidenceInterval, Method, OrderedSample, QuantileSpec, max_likelihood_index
 from .errors import ConsistencyError, DegenerateRegionError, ValidationError
 from .likelihood import (
+    asymptotic_deficit,
     chi2_quantile_1df,
     chi2_sf_1df,
     log_binomial_pmf,
@@ -53,17 +56,51 @@ class LRTestResult:
         return self.statistic >= chi2_quantile_1df(alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcceptanceGrid:
-    """H values over the scanned index window, for external plotting.
+    """The acceptance region of one (n_c, n_t, q, alpha, statistic).
 
-    Rows are (i, j, h, accepted) tuples in row-major (i, then j) order;
-    accepted means h < chi2_alpha(1) strictly.
+    H(i, j) = g_c[i - i_lo] + g_t[j - j_lo] over the marginal windows that
+    start at i_lo and j_lo. Row ``accepted_i[k]`` accepts exactly the
+    counts ``j_first[k]..j_last[k]`` (g_t < threshold - g_c; g_t is
+    unimodal, so the accepted j of a row are contiguous); rows that accept
+    nothing are left out. ``rows`` and the CSV export instead flag a cell
+    accepted when the rounded sum h < threshold, which differs only when h
+    rounds onto the threshold.
+
+    Grids are cached and shared, so every array is read-only.
     """
 
-    rows: list[tuple[int, int, float, bool]]
     alpha: float
     exact: bool
+    threshold: float
+    i_lo: int
+    j_lo: int
+    g_c: np.ndarray
+    g_t: np.ndarray
+    accepted_i: np.ndarray
+    j_first: np.ndarray
+    j_last: np.ndarray
+
+    def h_rows(self) -> Iterator[tuple[int, list[float]]]:
+        """(i, H over the j window) for each window row, in ascending i."""
+        for offset, g in enumerate(self.g_c.tolist()):
+            yield self.i_lo + offset, (g + self.g_t).tolist()
+
+    @property
+    def rows(self) -> list[tuple[int, int, float, bool]]:
+        """(i, j, h, accepted) for every window cell, row-major (i, then j)."""
+        js = range(self.j_lo, self.j_lo + self.g_t.size)
+        return [
+            (i, j, h, h < self.threshold) for i, hs in self.h_rows() for j, h in zip(js, hs)
+        ]
+
+
+def _log_pmfs(counts: np.ndarray, q: float, n: int) -> np.ndarray:
+    """log_binomial_pmf at each count, computed once per distinct count."""
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    values = np.array([log_binomial_pmf(k, q, n) for k in distinct.tolist()])
+    return values[inverse]
 
 
 def constrained_max_indexes(
@@ -73,8 +110,8 @@ def constrained_max_indexes(
 
     i and j are linked through tau: i counts control values below tau and
     j counts treatment values below tau + d. Ties in likelihood resolve to
-    the candidate with the smallest i (then smallest j), which the
-    ascending-tau sweep yields for free.
+    the candidate with the smallest i (then smallest j): the first maximum
+    in ascending tau.
     """
     if not (0.0 < q < 1.0):
         raise ValidationError(f"q must lie in (0, 1), got {q!r}")
@@ -110,28 +147,15 @@ def constrained_max_indexes(
     # whenever the optimum regions are nonempty, but with heavily tied
     # values a region can be an empty interval and the maximizer can sit
     # immediately beyond the edge.
-    candidates: list[float] = []
-    if first == 0:
-        candidates.append(float(points[0]) - 1.0)
-    else:
-        candidates.append(0.5 * float(points[first - 1] + points[first]))
-    candidates.extend(0.5 * (points[first:last] + points[first + 1 : last + 1]))
-    if last == points.size - 1:
-        candidates.append(float(points[-1]) + 1.0)
-    else:
-        candidates.append(0.5 * float(points[last] + points[last + 1]))
-
-    best: tuple[int, int] | None = None
-    best_score = -math.inf
-    for tau in candidates:
-        i = int(np.searchsorted(y_c, tau, side="left"))
-        j = int(np.searchsorted(y_t_shifted, tau, side="left"))
-        score = log_binomial_pmf(i, q, n_c) + log_binomial_pmf(j, q, n_t)
-        if score > best_score:
-            best_score = score
-            best = (i, j)
-    assert best is not None
-    return best
+    below = points[0] - 1.0 if first == 0 else 0.5 * (points[first - 1] + points[first])
+    above = points[-1] + 1.0 if last == points.size - 1 else 0.5 * (points[last] + points[last + 1])
+    taus = np.concatenate(
+        [[below], 0.5 * (points[first:last] + points[first + 1 : last + 1]), [above]]
+    )
+    i = np.searchsorted(y_c, taus, side="left")
+    j = np.searchsorted(y_t_shifted, taus, side="left")
+    best = int(np.argmax(_log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)))
+    return int(i[best]), int(j[best])
 
 
 def lr_test(
@@ -155,20 +179,8 @@ def lr_test(
     )
 
 
-def _deficits(q: float, n: int, lo: int, hi: int, exact: bool) -> np.ndarray:
-    """Per-sample H contribution g(i) for i in [lo, hi], vectorized."""
-    idx = np.arange(lo, hi + 1)
-    if exact:
-        k = max_likelihood_index(q, n)
-        peak = log_binomial_pmf(k, q, n)
-        logpmf = np.array([log_binomial_pmf(int(i), q, n) for i in idx])
-        g = -2.0 * (logpmf - peak)
-        return np.maximum(g, 0.0)
-    return (idx - n * q) ** 2 / (n * q * (1.0 - q))
-
-
-def _marginal_window(q: float, n: int, threshold: float, exact: bool) -> tuple[int, int]:
-    """Index range [lo, hi] guaranteed to contain every accepted count.
+def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[int, np.ndarray]:
+    """Origin lo and deficits g(lo..hi) of a window holding every accepted count.
 
     Starts from the bounding box of the asymptotic ellipse plus one index
     of slack. Under the exact statistic the deficit tails decay more
@@ -180,18 +192,47 @@ def _marginal_window(q: float, n: int, threshold: float, exact: bool) -> tuple[i
     halfwidth = math.sqrt(threshold * n * q * (1.0 - q)) + 1.0
     lo = max(math.ceil(center - halfwidth), 0)
     hi = min(math.floor(center + halfwidth), n)
-    if exact:
-        k = max_likelihood_index(q, n)
-        peak = log_binomial_pmf(k, q, n)
+    if not exact:
+        return lo, asymptotic_deficit(np.arange(lo, hi + 1), q, n)
+    peak = log_binomial_pmf(max_likelihood_index(q, n), q, n)
 
-        def g(i: int) -> float:
-            return -2.0 * (log_binomial_pmf(i, q, n) - peak)
+    def g(i: int) -> float:
+        return -2.0 * (log_binomial_pmf(i, q, n) - peak)
 
-        while lo > 0 and g(lo) < threshold:
-            lo -= 1
-        while hi < n and g(hi) < threshold:
-            hi += 1
-    return lo, hi
+    while lo > 0 and g(lo) < threshold:
+        lo -= 1
+    while hi < n and g(hi) < threshold:
+        hi += 1
+    return lo, np.maximum(-2.0 * (_log_pmfs(np.arange(lo, hi + 1), q, n) - peak), 0.0)
+
+
+@functools.lru_cache(maxsize=128)
+def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> AcceptanceGrid:
+    threshold = chi2_quantile_1df(alpha)
+    i_lo, g_c = _window_deficits(q, n_c, threshold, exact)
+    j_lo, g_t = _window_deficits(q, n_t, threshold, exact)
+    budget = threshold - g_c
+    # Row i accepts j where g_t(j) < budget(i). The first such j is the
+    # first where the running minimum from the left drops below the budget,
+    # the last is the last where the running minimum from the right does;
+    # both minima are monotone, so each is one binary search.
+    from_left = np.minimum.accumulate(g_t)
+    from_right = np.minimum.accumulate(g_t[::-1])[::-1]
+    rows = np.flatnonzero(from_left[-1] < budget)
+    j_first = j_lo + np.searchsorted(-from_left, -budget[rows], side="right")
+    j_last = j_lo + np.searchsorted(from_right, budget[rows], side="left") - 1
+    arrays = (g_c, g_t, i_lo + rows, j_first, j_last)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return AcceptanceGrid(alpha, exact, threshold, i_lo, j_lo, *arrays)
+
+
+def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> AcceptanceGrid:
+    """The cached region; ``use_exact=None`` picks the exact statistic when
+    both samples have at most 10,000 values and the asymptotic form above."""
+    if use_exact is None:
+        use_exact = max(n_c, n_t) <= 10_000
+    return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
 
 
 def conservative_ci(
@@ -210,53 +251,26 @@ def conservative_ci(
     ``use_exact=None`` picks the exact statistic when both samples have
     at most 10,000 values and the asymptotic form above that.
     """
-    n_c, n_t = control.n, treatment.n
-    if use_exact is None:
-        use_exact = max(n_c, n_t) <= 10_000
-    q, alpha = spec.q, spec.alpha
-    threshold = chi2_quantile_1df(alpha)
-
-    i_lo, i_hi = _marginal_window(q, n_c, threshold, use_exact)
-    j_lo, j_hi = _marginal_window(q, n_t, threshold, use_exact)
-    g_c = _deficits(q, n_c, i_lo, i_hi, use_exact)
-    g_t = _deficits(q, n_t, j_lo, j_hi, use_exact)
-
-    lower = math.inf
-    upper = -math.inf
-    clamped = False
-    for offset, i in enumerate(range(i_lo, i_hi + 1)):
-        budget = threshold - g_c[offset]
-        if budget <= 0.0:
-            continue
-        accepted = np.flatnonzero(g_t < budget)
-        if accepted.size == 0:
-            continue
-        if i == 0:
-            # Accepted cells exist on the i=0 row but y_c(0) is undefined.
-            clamped = True
-            continue
-        j_first = j_lo + int(accepted[0])
-        j_last = j_lo + int(accepted[-1])
-        if j_first == 0:
-            clamped = True
-            if accepted.size == 1:
-                continue
-            j_first = j_lo + int(accepted[1])
-        y_c_i = control.order_stat(i)
-        lower = min(lower, treatment.order_stat(j_first) - y_c_i)
-        upper = max(upper, treatment.order_stat(j_last) - y_c_i)
-
-    if not math.isfinite(lower):
+    region = _region(control.n, treatment.n, spec, use_exact)
+    i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
+    clamped = bool((i == 0).any() or (j_first == 0).any())
+    j_first = np.maximum(j_first, 1)
+    usable = (i > 0) & (j_first <= j_last)
+    if not usable.any():
         raise DegenerateRegionError(
             "acceptance region contains no index pairs with defined order statistics"
         )
-    flags = frozenset({"clamped_index"}) if clamped else frozenset()
+    y_c = control.values[i[usable] - 1]
+    lows = treatment.values[j_first[usable] - 1] - y_c
+    highs = treatment.values[j_last[usable] - 1] - y_c
+    # argmin/argmax return the first of equal extremes (+0.0 and -0.0, say),
+    # so the sign of a zero endpoint does not depend on numpy's reduction order.
     return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        alpha=alpha,
+        lower=float(lows[lows.argmin()]),
+        upper=float(highs[highs.argmax()]),
+        alpha=spec.alpha,
         method=Method.LR_CONSERVATIVE,
-        flags=flags,
+        flags=frozenset({"clamped_index"}) if clamped else frozenset(),
     )
 
 
@@ -267,28 +281,25 @@ def acceptance_grid(
 
     Output is plot-ready: the accepted set is the integer ellipse (exactly
     under the asymptotic statistic, approximately under the exact one).
+    Equal arguments return the same shared, read-only grid.
     """
     if n_c < 1 or n_t < 1:
         raise ValidationError("sample sizes must be >= 1")
-    if use_exact is None:
-        use_exact = max(n_c, n_t) <= 10_000
-    threshold = chi2_quantile_1df(spec.alpha)
-    i_lo, i_hi = _marginal_window(spec.q, n_c, threshold, use_exact)
-    j_lo, j_hi = _marginal_window(spec.q, n_t, threshold, use_exact)
-    g_c = _deficits(spec.q, n_c, i_lo, i_hi, use_exact)
-    g_t = _deficits(spec.q, n_t, j_lo, j_hi, use_exact)
-
-    rows: list[tuple[int, int, float, bool]] = []
-    for io, i in enumerate(range(i_lo, i_hi + 1)):
-        for jo, j in enumerate(range(j_lo, j_hi + 1)):
-            h = float(g_c[io] + g_t[jo])
-            rows.append((i, j, h, h < threshold))
-    return AcceptanceGrid(rows=rows, alpha=spec.alpha, exact=use_exact)
+    return _region(n_c, n_t, spec, use_exact)
 
 
 def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
     """Serialize a grid as CSV: header i,j,h,accepted; booleans as 0/1."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["i", "j", "h", "accepted"])
-    for i, j, h, accepted in grid.rows:
-        writer.writerow([i, j, format(h, ".9g"), 1 if accepted else 0])
+    stream.write("i,j,h,accepted\n")
+    j_fields = [f",{j}," for j in range(grid.j_lo, grid.j_lo + grid.g_t.size)]
+    threshold = grid.threshold
+    for i, hs in grid.h_rows():
+        i_field = str(i)
+        stream.write(
+            "".join(
+                [
+                    f"{i_field}{j}{h:.9g},{'1' if h < threshold else '0'}\n"
+                    for j, h in zip(j_fields, hs)
+                ]
+            )
+        )

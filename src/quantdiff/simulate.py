@@ -214,21 +214,46 @@ def generate_pair(
     return control, treatment
 
 
-def _compute_ci(
+# Interval function of each method. The lambdas look the functions up when
+# called, so a module attribute rebound later (a timing wrapper, say) is
+# the one that runs.
+_INTERVALS = {
+    Method.LR_CONSERVATIVE: lambda c, t, spec, use_exact: conservative_ci(c, t, spec, use_exact),
+    Method.LR_TWO_STEP: lambda c, t, spec, use_exact: two_step_ci(c, t, spec),
+    Method.PRICE_BONNET: lambda c, t, spec, use_exact: price_bonnet_ci(c, t, spec),
+    Method.DONNER_ZOU: lambda c, t, spec, use_exact: donner_zou_ci(c, t, spec),
+}
+
+
+def compute_ci(
     method: Method,
     control: OrderedSample,
     treatment: OrderedSample,
-    qspec: QuantileSpec,
+    spec: QuantileSpec,
+    use_exact: bool | None = None,
 ) -> ConfidenceInterval:
-    if method is Method.LR_CONSERVATIVE:
-        return conservative_ci(control, treatment, qspec)
-    if method is Method.LR_TWO_STEP:
-        return two_step_ci(control, treatment, qspec)
-    if method is Method.PRICE_BONNET:
-        return price_bonnet_ci(control, treatment, qspec)
-    if method is Method.DONNER_ZOU:
-        return donner_zou_ci(control, treatment, qspec)
-    raise ValidationError(f"method {method} has no two-sample interval")
+    """The method's interval; ``use_exact`` applies to lr_conservative only."""
+    return _INTERVALS[method](control, treatment, spec, use_exact)
+
+
+def select_methods(methods: str | Iterable[Method | str]) -> tuple[Method, ...]:
+    """Validated methods in TWO_SAMPLE_METHODS order, without duplicates.
+
+    A string is a comma-separated list of method names, or ``all``.
+    """
+    if isinstance(methods, str):
+        text = methods.strip()
+        methods = TWO_SAMPLE_METHODS if text == "all" else [m.strip() for m in text.split(",")]
+    chosen = set()
+    for name in methods:
+        try:
+            chosen.add(Method(name))
+        except ValueError:
+            valid = ", ".join(m.value for m in TWO_SAMPLE_METHODS)
+            raise ValidationError(f"unknown method {name!r}; valid: {valid}") from None
+    if not chosen:
+        raise ValidationError("no methods requested")
+    return tuple(m for m in TWO_SAMPLE_METHODS if m in chosen)
 
 
 def _replication_records(
@@ -240,7 +265,7 @@ def _replication_records(
     records: list[tuple[bool, float, bool]] = []
     for method in methods:
         try:
-            ci = _compute_ci(method, control, treatment, qspec)
+            ci = compute_ci(method, control, treatment, qspec)
         except EstimationError:
             records.append((False, 0.0, True))
         else:
@@ -249,21 +274,8 @@ def _replication_records(
     return records, test.rejects_at(spec.alpha)
 
 
-def _normalize_methods(methods: Iterable[Method | str]) -> tuple[Method, ...]:
-    requested = {Method(m) for m in methods}
-    if Method.ONE_SAMPLE in requested:
-        raise ValidationError(
-            "one_sample is a single-sample building block; coverage of the "
-            "quantile difference is defined for the two-sample methods only"
-        )
-    ordered = tuple(m for m in TWO_SAMPLE_METHODS if m in requested)
-    if not ordered:
-        raise ValidationError("no methods requested")
-    return ordered
-
-
 def run_coverage_study(
-    spec: ScenarioSpec, methods: Iterable[Method | str], jobs: int = 1
+    spec: ScenarioSpec, methods: str | Iterable[Method | str], jobs: int = 1
 ) -> list[CoverageRow]:
     """Run the scenario and aggregate one CoverageRow per method.
 
@@ -272,10 +284,11 @@ def run_coverage_study(
     denominators. The LR-test rejection rate at d = true_delta is shared
     by all rows since the test is method-independent.
 
-    ``jobs`` > 1 distributes replications over worker processes; the
-    output is identical to the sequential run.
+    ``methods`` takes anything :func:`select_methods` accepts. ``jobs`` > 1
+    distributes replications over worker processes; the output is
+    identical to the sequential run.
     """
-    method_tuple = _normalize_methods(methods)
+    method_tuple = select_methods(methods)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
 

@@ -36,19 +36,26 @@ def scipy_deficits(q: float, n: int) -> np.ndarray:
     return -2.0 * (logpmf - logpmf[mode_index(q, n)])
 
 
+def quadratic_deficits(q: float, n: int) -> np.ndarray:
+    """(i - n q)^2 / (n q (1 - q)) for i in [0, n]: the asymptotic statistic's terms."""
+    return (np.arange(n + 1) - n * q) ** 2 / (n * q * (1.0 - q))
+
+
 def full_grid_conservative(
-    y_c: np.ndarray, y_t: np.ndarray, q: float, alpha: float
+    y_c: np.ndarray, y_t: np.ndarray, q: float, alpha: float, exact: bool = True
 ) -> tuple[float, float, bool] | None:
     """Exhaustive acceptance-region CI over the complete (i, j) grid.
 
     Returns (lower, upper, clamped) or None when no accepted pair has both
     indexes >= 1. Acceptance is strict H < chi2; H uses the exact
-    statistic computed from scipy log-pmfs.
+    statistic computed from scipy log-pmfs, or with ``exact=False`` the
+    asymptotic quadratic form.
     """
     n_c, n_t = len(y_c), len(y_t)
     threshold = st.chi2.isf(alpha, 1)
-    g_c = scipy_deficits(q, n_c)
-    g_t = scipy_deficits(q, n_t)
+    deficits = scipy_deficits if exact else quadratic_deficits
+    g_c = deficits(q, n_c)
+    g_t = deficits(q, n_t)
     accepted = (g_c[:, None] + g_t[None, :]) < threshold
     clamped = bool(accepted[0, :].any() or accepted[:, 0].any())
     usable = accepted.copy()

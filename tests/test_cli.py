@@ -9,6 +9,7 @@ import pytest
 
 from quantdiff import QuantileSpec, acceptance_grid, conservative_ci, ingest_sample
 from quantdiff.cli import main
+from quantdiff.errors import ConsistencyError
 
 
 @pytest.fixture
@@ -232,6 +233,20 @@ class TestTest:
              "--d", format(ci.upper + 2.0, ".17g")],
         )
         assert json.loads(out)["reject_at_alpha"] is True
+
+    def test_consistency_error_exits_4(self, capsys, monkeypatch, sample_files):
+        def broken(*args):
+            raise ConsistencyError("likelihood ordering violated")
+
+        monkeypatch.setattr("quantdiff.cli.lr_test", broken)
+        c, t = sample_files
+        code, _, err = _run(
+            capsys,
+            ["test", "--control", c, "--treatment", t, "--q", "0.5", "--d", "0"],
+        )
+        assert code == 4
+        assert err.startswith("error:")
+        assert "please report" in err
 
 
 class TestRegion:

@@ -55,11 +55,12 @@ class TestConstrainedMaxIndexes:
         grid100 = ingest_sample(np.arange(1.0, 101.0))
         assert constrained_max_indexes(grid100, grid100, 0.5, 1.0) == (49, 50)
 
-    def test_optimal_over_reachable_pairs_randomized(self):
-        rng = np.random.default_rng(42)
-        for trial in range(120):
-            n_c = int(rng.integers(2, 40))
-            n_t = int(rng.integers(2, 40))
+    @staticmethod
+    def _random_cases(seed, trials, max_n, qs):
+        rng = np.random.default_rng(seed)
+        for trial in range(trials):
+            n_c = int(rng.integers(2, max_n))
+            n_t = int(rng.integers(2, max_n))
             if trial % 3 == 0:
                 # heavy ties: values on a coarse grid
                 y_c = np.sort(rng.integers(0, 6, size=n_c).astype(float))
@@ -67,8 +68,18 @@ class TestConstrainedMaxIndexes:
             else:
                 y_c = np.sort(rng.normal(size=n_c))
                 y_t = np.sort(rng.normal(size=n_t))
-            q = float(rng.uniform(0.1, 0.9))
+            q = float(rng.uniform(0.1, 0.9)) if qs is None else qs[trial % len(qs)]
             d = float(rng.choice([0.0, 0.5, -2.0, 10.0, rng.normal()]))
+            yield trial, y_c, y_t, q, d
+
+    def test_optimal_over_reachable_pairs_randomized(self):
+        cases = [
+            *self._random_cases(42, 120, 40, None),
+            # larger samples and the extreme quantiles
+            *self._random_cases(43, 60, 300, (0.05, 0.95, 0.5)),
+        ]
+        for trial, y_c, y_t, q, d in cases:
+            n_c, n_t = len(y_c), len(y_t)
             control = ingest_sample(y_c)
             treatment = ingest_sample(y_t)
             i, j = constrained_max_indexes(control, treatment, q, d)
@@ -167,14 +178,21 @@ class TestConservativeCI:
 
     def test_matches_full_grid_oracle_seeded(self):
         rng = np.random.default_rng(123)
-        y_c = np.sort(rng.normal(size=25))
-        y_t = np.sort(rng.normal(size=25))
-        got = conservative_ci(ingest_sample(y_c), ingest_sample(y_t), _spec())
-        want = full_grid_conservative(y_c, y_t, 0.5, 0.05)
-        assert want is not None
-        assert got.lower == want[0]
-        assert got.upper == want[1]
-        assert ("clamped_index" in got.flags) == want[2]
+        continuous = (np.sort(rng.normal(size=25)), np.sort(rng.normal(size=25)))
+        tied = (
+            np.sort(rng.integers(0, 5, size=40).astype(float)),
+            np.sort(rng.integers(0, 5, size=33).astype(float)),
+        )
+        for y_c, y_t in (continuous, tied):
+            for exact in (True, False):
+                got = conservative_ci(
+                    ingest_sample(y_c), ingest_sample(y_t), _spec(), use_exact=exact
+                )
+                want = full_grid_conservative(y_c, y_t, 0.5, 0.05, exact=exact)
+                assert want is not None
+                assert got.lower == want[0], (len(y_c), exact)
+                assert got.upper == want[1], (len(y_c), exact)
+                assert ("clamped_index" in got.flags) == want[2]
 
     def test_clamped_flag_small_n_extreme_q(self):
         rng = np.random.default_rng(5)
@@ -247,6 +265,14 @@ class TestAcceptanceGrid:
                 if h < thr:
                     full.add((i, j))
         assert windowed == full
+
+    def test_cached_and_read_only(self):
+        grid = acceptance_grid(40, 30, _spec(q=0.3))
+        assert acceptance_grid(40, 30, _spec(q=0.3)) is grid
+        for arr in (grid.g_c, grid.g_t, grid.accepted_i, grid.j_first, grid.j_last):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_csv_export(self):
         grid = acceptance_grid(3, 3, _spec(), use_exact=True)

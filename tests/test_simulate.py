@@ -191,7 +191,7 @@ class TestRunCoverageStudy:
 
     def test_one_sample_rejected(self):
         with pytest.raises(ValidationError):
-            run_coverage_study(_scenario(), [Method.ONE_SAMPLE])
+            run_coverage_study(_scenario(), ["one_sample"])
         with pytest.raises(ValidationError):
             run_coverage_study(_scenario(), [])
 
