@@ -14,13 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ConfidenceInterval,
+    IntervalRows,
     Method,
     OrderedSample,
     QuantileSpec,
+    float_squares,
     outward_index_interval,
-    quantile_point_estimate,
+    point_estimates,
 )
 from .errors import ConsistencyError, InsufficientSampleError
 from .likelihood import normal_quantile
@@ -43,14 +47,7 @@ class OneSampleBounds:
             )
 
 
-def one_sample_ci(sample: OrderedSample, spec: QuantileSpec) -> OneSampleBounds:
-    """Distribution-free CI for the q-quantile of one sample.
-
-    Fractional indexes N q +/- z sqrt(N q (1-q)) are rounded outward and
-    clamped into [1, N]; the bounds are the order statistics at the
-    resulting indexes.
-    """
-    n = sample.n
+def _one_sample_indexes(n: int, spec: QuantileSpec) -> tuple[int, int, bool]:
     z = normal_quantile(1.0 - spec.alpha / 2.0)
     halfwidth = z * math.sqrt(n * spec.q * (1.0 - spec.q))
     lo_idx, hi_idx, clamped = outward_index_interval(n * spec.q, halfwidth, n)
@@ -58,6 +55,17 @@ def one_sample_ci(sample: OrderedSample, spec: QuantileSpec) -> OneSampleBounds:
         raise InsufficientSampleError(
             f"one-sample index interval collapsed (n={n}, q={spec.q}, alpha={spec.alpha})"
         )
+    return lo_idx, hi_idx, clamped
+
+
+def one_sample_ci(sample: OrderedSample, spec: QuantileSpec) -> OneSampleBounds:
+    """Distribution-free CI for the q-quantile of one sample.
+
+    Fractional indexes N q +/- z sqrt(N q (1-q)) are rounded outward and
+    clamped into [1, N]; the bounds are the order statistics at the
+    resulting indexes.
+    """
+    lo_idx, hi_idx, clamped = _one_sample_indexes(sample.n, spec)
     return OneSampleBounds(
         lower=sample.order_stat(lo_idx),
         upper=sample.order_stat(hi_idx),
@@ -67,10 +75,28 @@ def one_sample_ci(sample: OrderedSample, spec: QuantileSpec) -> OneSampleBounds:
     )
 
 
-def _flags(bounds_c: OneSampleBounds, bounds_t: OneSampleBounds) -> frozenset[str]:
-    if bounds_c.clamped or bounds_t.clamped:
-        return frozenset({"clamped_index"})
-    return frozenset()
+def _one_sample_rows(y: np.ndarray, spec: QuantileSpec):
+    """One-sample lower and upper bounds of each row of a sorted block, and the clamp."""
+    lo_idx, hi_idx, clamped = _one_sample_indexes(y.shape[1], spec)
+    return y[:, lo_idx - 1], y[:, hi_idx - 1], clamped
+
+
+def _interval_rows(method: Method, spec: QuantileSpec, lower, upper, clamped: bool) -> IntervalRows:
+    flags = {"clamped_index": np.full(len(lower), clamped)}
+    return IntervalRows(method=method, alpha=spec.alpha, lower=lower, upper=upper, flags=flags)
+
+
+def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
+    """:func:`price_bonnet_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
+    z = normal_quantile(1.0 - spec.alpha / 2.0)
+    lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
+    lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
+    var_c = float_squares((upper_c - lower_c) / (2.0 * z))
+    var_t = float_squares((upper_t - lower_t) / (2.0 * z))
+    diff = point_estimates(y_t, spec.q) - point_estimates(y_c, spec.q)
+    halfwidth = z * np.sqrt(var_t + var_c)
+    clamped = clamped_c or clamped_t
+    return _interval_rows(Method.PRICE_BONNET, spec, diff - halfwidth, diff + halfwidth, clamped)
 
 
 def price_bonnet_ci(
@@ -81,22 +107,19 @@ def price_bonnet_ci(
     C(alpha) = (tau_t - tau_c) +/- z sqrt(Var_t + Var_c) with each
     variance backed out of the one-sample CI halfwidth at the same alpha.
     """
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
-    bounds_c = one_sample_ci(control, spec)
-    bounds_t = one_sample_ci(treatment, spec)
-    var_c = ((bounds_c.upper - bounds_c.lower) / (2.0 * z)) ** 2
-    var_t = ((bounds_t.upper - bounds_t.lower) / (2.0 * z)) ** 2
-    diff = quantile_point_estimate(treatment, spec.q) - quantile_point_estimate(
-        control, spec.q
-    )
-    halfwidth = z * math.sqrt(var_t + var_c)
-    return ConfidenceInterval(
-        lower=diff - halfwidth,
-        upper=diff + halfwidth,
-        alpha=spec.alpha,
-        method=Method.PRICE_BONNET,
-        flags=_flags(bounds_c, bounds_t),
-    )
+    return price_bonnet_rows(control.values[None], treatment.values[None], spec).first()
+
+
+def donner_zou_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
+    """:func:`donner_zou_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
+    lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
+    lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
+    tau_c = point_estimates(y_c, spec.q)
+    tau_t = point_estimates(y_t, spec.q)
+    diff = tau_t - tau_c
+    upper = diff + np.sqrt(float_squares(upper_t - tau_t) + float_squares(tau_c - lower_c))
+    lower = diff - np.sqrt(float_squares(tau_t - lower_t) + float_squares(upper_c - tau_c))
+    return _interval_rows(Method.DONNER_ZOU, spec, lower, upper, clamped_c or clamped_t)
 
 
 def donner_zou_ci(
@@ -113,21 +136,4 @@ def donner_zou_ci(
     so asymmetry of the one-sample intervals survives into the combined
     interval instead of being averaged away.
     """
-    bounds_c = one_sample_ci(control, spec)
-    bounds_t = one_sample_ci(treatment, spec)
-    tau_c = quantile_point_estimate(control, spec.q)
-    tau_t = quantile_point_estimate(treatment, spec.q)
-    diff = tau_t - tau_c
-    upper = diff + math.sqrt(
-        (bounds_t.upper - tau_t) ** 2 + (tau_c - bounds_c.lower) ** 2
-    )
-    lower = diff - math.sqrt(
-        (tau_t - bounds_t.lower) ** 2 + (bounds_c.upper - tau_c) ** 2
-    )
-    return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        alpha=spec.alpha,
-        method=Method.DONNER_ZOU,
-        flags=_flags(bounds_c, bounds_t),
-    )
+    return donner_zou_rows(control.values[None], treatment.values[None], spec).first()

@@ -177,12 +177,18 @@ def quantile_point_estimate(sample: OrderedSample, q: float) -> float:
     the midpoint of the maximizing interval, falling back to the nearest
     sample point when the interval abuts a boundary.
     """
-    k = max_likelihood_index(q, sample.n)
+    return float(point_estimates(sample.values[None], q)[0])
+
+
+def point_estimates(rows: np.ndarray, q: float) -> np.ndarray:
+    """:func:`quantile_point_estimate` of each row of a sorted (R, n) block."""
+    n = rows.shape[1]
+    k = max_likelihood_index(q, n)
     if k == 0:
-        return float(sample.values[0])
-    if k == sample.n:
-        return float(sample.values[-1])
-    return 0.5 * (float(sample.values[k - 1]) + float(sample.values[k]))
+        return rows[:, 0]
+    if k == n:
+        return rows[:, -1]
+    return 0.5 * (rows[:, k - 1] + rows[:, k])
 
 
 def outward_index_interval(center: float, halfwidth: float, n: int) -> tuple[int, int, bool]:
@@ -193,10 +199,27 @@ def outward_index_interval(center: float, halfwidth: float, n: int) -> tuple[int
     the lower endpoint, ceil the upper) can only widen the interval, so
     nominal coverage is preserved up to the clamp.
     """
-    lo = math.floor(center - halfwidth)
-    hi = math.ceil(center + halfwidth)
-    clamped = lo < 1 or hi > n
-    return max(lo, 1), min(hi, n), clamped
+    lo, hi, clamped = outward_index_bounds(center, halfwidth, n)
+    return int(lo), int(hi), bool(clamped)
+
+
+def outward_index_bounds(center: float, halfwidth, n: int):
+    """:func:`outward_index_interval` elementwise over an array of halfwidths."""
+    lo = np.floor(center - halfwidth)
+    hi = np.ceil(center + halfwidth)
+    clamped = (lo < 1) | (hi > n)
+    return np.maximum(lo, 1).astype(np.intp), np.minimum(hi, n).astype(np.intp), clamped
+
+
+def float_squares(values: np.ndarray) -> np.ndarray:
+    """Square each value with Python's float power, which calls C ``pow()``.
+
+    ``pow(x, 2.0)`` and numpy's ``x * x`` round differently on some inputs
+    (about 1 in 1,000 lognormal values). The interval formulas square this
+    way so that their endpoints, and the coverage tables built from them,
+    stay the same to the last bit.
+    """
+    return np.array([v**2 for v in values.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -224,3 +247,29 @@ class ConfidenceInterval:
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalRows:
+    """One method's interval for each row pair of sorted (R, n_c) and (R, n_t) blocks.
+
+    ``flags`` maps each flag name to a boolean mask over the rows. Every
+    interval function evaluates its formula this way; the one-sample
+    functions evaluate a one-row block and return :meth:`first`.
+    """
+
+    method: Method
+    alpha: float
+    lower: np.ndarray
+    upper: np.ndarray
+    flags: dict[str, np.ndarray]
+
+    def first(self) -> ConfidenceInterval:
+        """The interval of row 0."""
+        return ConfidenceInterval(
+            lower=float(self.lower[0]),
+            upper=float(self.upper[0]),
+            alpha=self.alpha,
+            method=self.method,
+            flags=frozenset(name for name, mask in self.flags.items() if mask[0]),
+        )

@@ -1,6 +1,7 @@
 """Binomial quantile likelihood, the LR statistic, and reference quantiles.
 
-Everything here is pure scalar math. Likelihood values are handled in
+Everything here is scalar math, except that ``asymptotic_deficit`` and
+``exact_statistic`` also take arrays. Likelihood values are handled in
 natural-log space throughout: binomial coefficients overflow doubles for
 sample sizes in the low thousands, while log-space differences stay
 well-conditioned even at n = 1e8.
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import QuantileSpec, max_likelihood_index
 from .errors import ConsistencyError, DomainError, IndexOutOfRangeError
@@ -74,14 +77,23 @@ class LRStatistic:
             raise ConsistencyError(f"LR statistic must be >= 0, got {self.value}")
 
 
-def _clamp_lr(value: float) -> float:
-    if value < -_LR_SLACK:
+def exact_statistic(log_h, q: float, n_c: int, n_t: int):
+    """Exact H from log h(i|q,n_c) + log h(j|q,n_t), a float or an array.
+
+    H is -2 times the log of the ratio to the unconstrained maximum, at
+    the counts floor(q*(n+1)). Rounding noise at or below zero becomes
+    +0.0; anything more negative than the slack raises, since it means a
+    broken invariant.
+    """
+    peak_c = log_binomial_pmf(max_likelihood_index(q, n_c), q, n_c)
+    peak_t = log_binomial_pmf(max_likelihood_index(q, n_t), q, n_t)
+    value = -2.0 * (log_h - peak_c - peak_t)
+    worst = np.min(value)
+    if worst < -_LR_SLACK:
         raise ConsistencyError(
-            f"LR statistic {value} below -{_LR_SLACK}; likelihood ordering violated"
+            f"LR statistic {worst} below -{_LR_SLACK}; likelihood ordering violated"
         )
-    if value <= 0.0:
-        return 0.0  # also normalizes -0.0
-    return value
+    return np.where(value <= 0.0, 0.0, value)
 
 
 def lr_statistic_exact(
@@ -94,15 +106,9 @@ def lr_statistic_exact(
     floor(q*(n+1)) for each sample. Zero iff (i, j) is that maximizer.
     """
     q = spec.q
-    k_c = max_likelihood_index(q, n_c)
-    k_t = max_likelihood_index(q, n_t)
-    value = -2.0 * (
-        log_binomial_pmf(i, q, n_c)
-        + log_binomial_pmf(j, q, n_t)
-        - log_binomial_pmf(k_c, q, n_c)
-        - log_binomial_pmf(k_t, q, n_t)
-    )
-    return LRStatistic(value=_clamp_lr(value), i_star=i, j_star=j, exact=True)
+    log_h = log_binomial_pmf(i, q, n_c) + log_binomial_pmf(j, q, n_t)
+    value = float(exact_statistic(log_h, q, n_c, n_t))
+    return LRStatistic(value=value, i_star=i, j_star=j, exact=True)
 
 
 def lr_statistic_asymptotic(

@@ -25,12 +25,20 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .core import ConfidenceInterval, Method, OrderedSample, QuantileSpec, max_likelihood_index
+from .core import (
+    ConfidenceInterval,
+    IntervalRows,
+    Method,
+    OrderedSample,
+    QuantileSpec,
+    max_likelihood_index,
+)
 from .errors import ConsistencyError, DegenerateRegionError, ValidationError
 from .likelihood import (
     asymptotic_deficit,
     chi2_quantile_1df,
     chi2_sf_1df,
+    exact_statistic,
     log_binomial_pmf,
     lr_statistic_exact,
 )
@@ -103,6 +111,121 @@ def _log_pmfs(counts: np.ndarray, q: float, n: int) -> np.ndarray:
     return values[inverse]
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, position) for each position start[k] .. start[k] + count[k] - 1, in order."""
+    k = np.repeat(np.arange(count.size), count)
+    return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
+
+
+def _searchsorted_rows(
+    block: np.ndarray, row: np.ndarray, keys: np.ndarray, side: str
+) -> np.ndarray:
+    """``np.searchsorted(block[row[k]], keys[k], side)`` for each k; block rows are sorted.
+
+    Over several rows this is one binary search over all keys at once, so
+    a block costs log2(n) array steps rather than a call per row; a single
+    row, as in the one-pair functions, takes numpy's own search.
+    """
+    if len(block) == 1:
+        return np.searchsorted(block[0], keys, side=side)
+    n = block.shape[1]
+    lo = np.zeros(keys.shape, dtype=np.intp)
+    hi = np.full(keys.shape, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        value = block[row, np.minimum(mid, n - 1)]
+        right = value < keys if side == "left" else value <= keys
+        searching = lo < hi
+        lo = np.where(searching & right, mid + 1, lo)
+        hi = np.where(searching & ~right, mid, hi)
+    return lo
+
+
+def _optimum(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the tau-interval [lo, hi) on which a sample's count is its optimum k."""
+    lo = y[:, k - 1] if k >= 1 else np.full(len(y), -math.inf)
+    hi = y[:, k] if k <= y.shape[1] - 1 else np.full(len(y), math.inf)
+    return lo, hi
+
+
+def _constrained_max_rows(
+    y_c: np.ndarray, y_t: np.ndarray, q: float, d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`constrained_max_indexes` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
+
+    The one copy of the candidate rule. A row's candidates are one tau per
+    gap between consecutive distinct breakpoints (control values and
+    shifted treatment values) inside the closed span between the two
+    optima, plus the gap just beyond each span edge; the first maximum in
+    ascending tau wins.
+    """
+    if not (0.0 < q < 1.0):
+        raise ValidationError(f"q must lie in (0, 1), got {q!r}")
+    if not math.isfinite(d):
+        raise ValidationError(f"shift d must be finite, got {d!r}")
+    y_t = y_t - d
+    n_c, n_t = y_c.shape[1], y_t.shape[1]
+    k_c = max_likelihood_index(q, n_c)
+    k_t = max_likelihood_index(q, n_t)
+    lo_c, hi_c = _optimum(y_c, k_c)
+    lo_t, hi_t = _optimum(y_t, k_t)
+    i_star = np.full(len(y_c), k_c)
+    j_star = np.full(len(y_c), k_t)
+    # Where the optima overlap, the constraint binds nowhere and H = 0.
+    bound = np.flatnonzero(~(np.maximum(lo_c, lo_t) < np.minimum(hi_c, hi_t)))
+    if bound.size == 0:
+        return i_star, j_star
+    span_lo = np.minimum(lo_c, lo_t)[bound]
+    span_hi = np.maximum(hi_c, hi_t)[bound]
+
+    # Each bound row's breakpoints inside the span, plus each sample's
+    # nearest one beyond either edge. Finite span edges are themselves
+    # breakpoints, so no row is empty. Rows are numbered 0..B-1 from here
+    # on; bound[k] is row k's row in the blocks.
+    values, owner = [], []
+    for y in (y_c, y_t):
+        start = np.maximum(_searchsorted_rows(y, bound, span_lo, "left") - 1, 0)
+        stop = np.minimum(_searchsorted_rows(y, bound, span_hi, "right") + 1, y.shape[1])
+        k, col = _ranges(start, stop - start)
+        values.append(y[bound[k], col])
+        owner.append(k)
+    points, row = np.concatenate(values), np.concatenate(owner)
+    order = np.lexsort((points, row))
+    points, row = points[order], row[order]
+    distinct = np.ones(points.size, dtype=bool)
+    distinct[1:] = (row[1:] != row[:-1]) | (points[1:] != points[:-1])
+    points, row = points[distinct], row[distinct]
+    rows = np.arange(bound.size)
+    row_start = np.searchsorted(row, rows, side="left")
+    row_last = np.searchsorted(row, rows, side="right") - 1
+    first = row_start + np.bincount(row[points < span_lo[row]], minlength=rows.size)
+    last = row_start + np.bincount(row[points <= span_hi[row]], minlength=rows.size) - 1
+
+    # One candidate per open interval inside the span, plus the interval
+    # just outside each span edge. The outside intervals are dominated
+    # whenever the optimum regions are nonempty, but with heavily tied
+    # values a region can be an empty interval and the maximizer can sit
+    # immediately beyond the edge. Gap g lies between points g and g + 1;
+    # an edge with no breakpoint beyond it gets a tau 1.0 past the edge.
+    count = last - first + 2
+    tau_row, gap = _ranges(first - 1, count)
+    taus = np.append(0.5 * (points[:-1] + points[1:]), 0.0)[gap]
+    tau_first = np.cumsum(count) - count
+    below, above = first == row_start, last == row_last
+    taus[tau_first[below]] = points[first[below]] - 1.0
+    taus[(tau_first + count - 1)[above]] = points[last[above]] + 1.0
+
+    i = _searchsorted_rows(y_c, bound[tau_row], taus, "left")
+    j = _searchsorted_rows(y_t, bound[tau_row], taus, "left")
+    score = _log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)
+    # Ties in likelihood resolve to each row's first maximum.
+    hits = np.flatnonzero(score == np.maximum.reduceat(score, tau_first)[tau_row])
+    best = hits[np.searchsorted(tau_row[hits], rows)]
+    i_star[bound] = i[best]
+    j_star[bound] = j[best]
+    return i_star, j_star
+
+
 def constrained_max_indexes(
     control: OrderedSample, treatment: OrderedSample, q: float, d: float
 ) -> tuple[int, int]:
@@ -113,49 +236,16 @@ def constrained_max_indexes(
     the candidate with the smallest i (then smallest j): the first maximum
     in ascending tau.
     """
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"q must lie in (0, 1), got {q!r}")
-    if not math.isfinite(d):
-        raise ValidationError(f"shift d must be finite, got {d!r}")
-    n_c, n_t = control.n, treatment.n
-    k_c = max_likelihood_index(q, n_c)
-    k_t = max_likelihood_index(q, n_t)
+    i, j = _constrained_max_rows(control.values[None], treatment.values[None], q, d)
+    return int(i[0]), int(j[0])
 
-    y_c = control.values
-    y_t_shifted = treatment.values - d
 
-    # tau-intervals on which each sample attains its unconstrained optimum.
-    lo_c = y_c[k_c - 1] if k_c >= 1 else -math.inf
-    hi_c = y_c[k_c] if k_c <= n_c - 1 else math.inf
-    lo_t = y_t_shifted[k_t - 1] if k_t >= 1 else -math.inf
-    hi_t = y_t_shifted[k_t] if k_t <= n_t - 1 else math.inf
-
-    if max(lo_c, lo_t) < min(hi_c, hi_t):
-        # The optima overlap: the constraint binds nowhere and H = 0.
-        return k_c, k_t
-
-    span_lo = min(lo_c, lo_t)
-    span_hi = max(hi_c, hi_t)
-    points = np.unique(np.concatenate([y_c, y_t_shifted]))
-    # Inclusive index range of breakpoints inside the span. Finite span
-    # edges are themselves breakpoints, so the range is never empty.
-    first = int(np.searchsorted(points, span_lo, side="left"))
-    last = int(np.searchsorted(points, span_hi, side="right")) - 1
-
-    # One candidate per open interval inside the span, plus the interval
-    # just outside each span edge. The outside intervals are dominated
-    # whenever the optimum regions are nonempty, but with heavily tied
-    # values a region can be an empty interval and the maximizer can sit
-    # immediately beyond the edge.
-    below = points[0] - 1.0 if first == 0 else 0.5 * (points[first - 1] + points[first])
-    above = points[-1] + 1.0 if last == points.size - 1 else 0.5 * (points[last] + points[last + 1])
-    taus = np.concatenate(
-        [[below], 0.5 * (points[first:last] + points[first + 1 : last + 1]), [above]]
-    )
-    i = np.searchsorted(y_c, taus, side="left")
-    j = np.searchsorted(y_t_shifted, taus, side="left")
-    best = int(np.argmax(_log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)))
-    return int(i[best]), int(j[best])
+def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
+    """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted blocks."""
+    n_c, n_t = y_c.shape[1], y_t.shape[1]
+    i, j = _constrained_max_rows(y_c, y_t, spec.q, d)
+    log_h = _log_pmfs(i, spec.q, n_c) + _log_pmfs(j, spec.q, n_t)
+    return exact_statistic(log_h, spec.q, n_c, n_t) >= chi2_quantile_1df(spec.alpha)
 
 
 def lr_test(
@@ -235,6 +325,34 @@ def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> A
     return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
 
 
+def conservative_rows(
+    y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, use_exact: bool | None = None
+) -> IntervalRows:
+    """:func:`conservative_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
+    region = _region(y_c.shape[1], y_t.shape[1], spec, use_exact)
+    i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
+    clamped = bool((i == 0).any() or (j_first == 0).any())
+    j_first = np.maximum(j_first, 1)
+    usable = (i > 0) & (j_first <= j_last)
+    if not usable.any():
+        raise DegenerateRegionError(
+            "acceptance region contains no index pairs with defined order statistics"
+        )
+    c = y_c[:, i[usable] - 1]
+    lows = y_t[:, j_first[usable] - 1] - c
+    highs = y_t[:, j_last[usable] - 1] - c
+    rows = np.arange(len(y_c))
+    # argmin/argmax return the first of equal extremes (+0.0 and -0.0, say),
+    # so the sign of a zero endpoint does not depend on numpy's reduction order.
+    return IntervalRows(
+        method=Method.LR_CONSERVATIVE,
+        alpha=spec.alpha,
+        lower=lows[rows, lows.argmin(axis=1)],
+        upper=highs[rows, highs.argmax(axis=1)],
+        flags={"clamped_index": np.full(len(y_c), clamped)},
+    )
+
+
 def conservative_ci(
     control: OrderedSample,
     treatment: OrderedSample,
@@ -251,27 +369,7 @@ def conservative_ci(
     ``use_exact=None`` picks the exact statistic when both samples have
     at most 10,000 values and the asymptotic form above that.
     """
-    region = _region(control.n, treatment.n, spec, use_exact)
-    i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
-    clamped = bool((i == 0).any() or (j_first == 0).any())
-    j_first = np.maximum(j_first, 1)
-    usable = (i > 0) & (j_first <= j_last)
-    if not usable.any():
-        raise DegenerateRegionError(
-            "acceptance region contains no index pairs with defined order statistics"
-        )
-    y_c = control.values[i[usable] - 1]
-    lows = treatment.values[j_first[usable] - 1] - y_c
-    highs = treatment.values[j_last[usable] - 1] - y_c
-    # argmin/argmax return the first of equal extremes (+0.0 and -0.0, say),
-    # so the sign of a zero endpoint does not depend on numpy's reduction order.
-    return ConfidenceInterval(
-        lower=float(lows[lows.argmin()]),
-        upper=float(highs[highs.argmax()]),
-        alpha=spec.alpha,
-        method=Method.LR_CONSERVATIVE,
-        flags=frozenset({"clamped_index"}) if clamped else frozenset(),
-    )
+    return conservative_rows(control.values[None], treatment.values[None], spec, use_exact).first()
 
 
 def acceptance_grid(

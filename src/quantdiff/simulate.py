@@ -4,8 +4,13 @@ Scenarios pair two closed-form distributions, so the true quantile
 difference is known analytically and coverage is a simple containment
 count. Every replication draws from its own counter-based substream keyed
 by (master_seed, replication_index); results are therefore bit-identical
-no matter how replications are scheduled, and the aggregation folds
-per-replication records in index order so parallel runs reproduce the
+no matter how replications are scheduled.
+
+The study evaluates replications in blocks: consecutive replications'
+sorted draws form the rows of one (R, n_c) and one (R, n_t) array, and
+every method's endpoints and the LR decision come out of array operations
+over those rows, through the same code the one-pair functions run. Widths
+are summed in replication order, so parallel runs reproduce the
 sequential output exactly.
 """
 
@@ -17,23 +22,24 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .baselines import donner_zou_ci, price_bonnet_ci
+from .baselines import donner_zou_ci, donner_zou_rows, price_bonnet_ci, price_bonnet_rows
 from .core import (
     TWO_SAMPLE_METHODS,
     ConfidenceInterval,
+    IntervalRows,
     Method,
     OrderedSample,
     QuantileSpec,
-    ingest_sample,
 )
-from .errors import DomainError, EstimationError, ValidationError
+from .errors import DomainError, EstimationError, NonFiniteValueError, ValidationError
 from .likelihood import normal_quantile
-from .region import conservative_ci, lr_test
-from .two_step import two_step_ci
+from .region import conservative_ci, conservative_rows, lr_rejections
+from .two_step import two_step_ci, two_step_rows
 
 
 class DistFamily(str, Enum):
@@ -194,6 +200,28 @@ def _draw(rng: np.random.Generator, dist: Distribution, n: int) -> np.ndarray:
     return rng.uniform(dist.params[0], dist.params[1], size=n)
 
 
+def _draw_block(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted control and treatment draws of replications start..stop-1, one row each.
+
+    Replication r draws control then treatment from its own Philox
+    substream keyed by (master_seed, r).
+    """
+    y_c = np.empty((stop - start, spec.n_c))
+    y_t = np.empty((stop - start, spec.n_t))
+    for row, r in enumerate(range(start, stop)):
+        seed_seq = np.random.SeedSequence(entropy=(spec.master_seed, r))
+        rng = np.random.Generator(np.random.Philox(seed_seq))
+        y_c[row] = _draw(rng, spec.dist_c, spec.n_c)
+        y_t[row] = _draw(rng, spec.dist_t, spec.n_t)
+    finite = np.isfinite(y_c).all(axis=1) & np.isfinite(y_t).all(axis=1)
+    if not finite.all():
+        bad = start + int(np.flatnonzero(~finite)[0])
+        raise NonFiniteValueError(f"replication {bad} drew a non-finite value")
+    y_c.sort(axis=1)
+    y_t.sort(axis=1)
+    return y_c, y_t
+
+
 def generate_pair(
     spec: ScenarioSpec, replication_index: int
 ) -> tuple[OrderedSample, OrderedSample]:
@@ -201,27 +229,31 @@ def generate_pair(
 
     The stream is keyed by (master_seed, replication_index), so any
     replication can be regenerated in isolation and execution order never
-    affects the draws.
+    affects the draws. The pair is the study's row for that replication.
     """
     if not (0 <= replication_index < spec.replications):
         raise DomainError(
             f"replication index {replication_index} outside [0, {spec.replications})"
         )
-    seed_seq = np.random.SeedSequence(entropy=(spec.master_seed, replication_index))
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    control = ingest_sample(_draw(rng, spec.dist_c, spec.n_c))
-    treatment = ingest_sample(_draw(rng, spec.dist_t, spec.n_t))
-    return control, treatment
+    y_c, y_t = _draw_block(spec, replication_index, replication_index + 1)
+    return OrderedSample(y_c[0], spec.n_c), OrderedSample(y_t[0], spec.n_t)
 
 
-# Interval function of each method. The lambdas look the functions up when
-# called, so a module attribute rebound later (a timing wrapper, say) is
-# the one that runs.
-_INTERVALS = {
-    Method.LR_CONSERVATIVE: lambda c, t, spec, use_exact: conservative_ci(c, t, spec, use_exact),
-    Method.LR_TWO_STEP: lambda c, t, spec, use_exact: two_step_ci(c, t, spec),
-    Method.PRICE_BONNET: lambda c, t, spec, use_exact: price_bonnet_ci(c, t, spec),
-    Method.DONNER_ZOU: lambda c, t, spec, use_exact: donner_zou_ci(c, t, spec),
+# Each method's interval for one sample pair, and for the rows of two
+# sorted blocks. The lambdas look the one-pair functions up when called,
+# so a module attribute rebound later (a timing wrapper, say) is the one
+# that runs.
+_METHODS = {
+    Method.LR_CONSERVATIVE: (
+        lambda c, t, spec, use_exact: conservative_ci(c, t, spec, use_exact),
+        conservative_rows,
+    ),
+    Method.LR_TWO_STEP: (lambda c, t, spec, use_exact: two_step_ci(c, t, spec), two_step_rows),
+    Method.PRICE_BONNET: (
+        lambda c, t, spec, use_exact: price_bonnet_ci(c, t, spec),
+        price_bonnet_rows,
+    ),
+    Method.DONNER_ZOU: (lambda c, t, spec, use_exact: donner_zou_ci(c, t, spec), donner_zou_rows),
 }
 
 
@@ -233,7 +265,7 @@ def compute_ci(
     use_exact: bool | None = None,
 ) -> ConfidenceInterval:
     """The method's interval; ``use_exact`` applies to lr_conservative only."""
-    return _INTERVALS[method](control, treatment, spec, use_exact)
+    return _METHODS[method][0](control, treatment, spec, use_exact)
 
 
 def select_methods(methods: str | Iterable[Method | str]) -> tuple[Method, ...]:
@@ -256,22 +288,51 @@ def select_methods(methods: str | Iterable[Method | str]) -> tuple[Method, ...]:
     return tuple(m for m in TWO_SAMPLE_METHODS if m in chosen)
 
 
-def _replication_records(
-    spec: ScenarioSpec, methods: tuple[Method, ...], replication_index: int
-) -> tuple[list[tuple[bool, float, bool]], bool]:
-    """(contained, width, failed) per method, plus the LR-test rejection."""
-    control, treatment = generate_pair(spec, replication_index)
+# Bytes of one block's two draw arrays. The other arrays of a block's
+# evaluation are of about the same size or smaller.
+_BLOCK_BYTES = 4 << 20
+
+
+def _chunk_size(spec: ScenarioSpec, jobs: int) -> int:
+    """Replications per block: at most _BLOCK_BYTES of draws, and every job gets one."""
+    rows = _BLOCK_BYTES // (8 * (spec.n_c + spec.n_t))
+    return max(1, min(rows, math.ceil(spec.replications / jobs)))
+
+
+def _evaluate_block(
+    spec: ScenarioSpec, methods: tuple[Method, ...], start: int, stop: int
+) -> tuple[list[IntervalRows | None], np.ndarray]:
+    """Each method's intervals for replications start..stop-1, and the LR rejections at true_delta.
+
+    A method whose inference fails (the failure depends only on the sizes,
+    q and alpha, never on the draws) gets None.
+    """
+    y_c, y_t = _draw_block(spec, start, stop)
     qspec = QuantileSpec(spec.q, spec.alpha)
-    records: list[tuple[bool, float, bool]] = []
+    intervals: list[IntervalRows | None] = []
     for method in methods:
         try:
-            ci = compute_ci(method, control, treatment, qspec)
+            intervals.append(_METHODS[method][1](y_c, y_t, qspec))
         except EstimationError:
-            records.append((False, 0.0, True))
+            intervals.append(None)
+    return intervals, lr_rejections(y_c, y_t, qspec, spec.true_delta)
+
+
+def _block_records(
+    spec: ScenarioSpec, methods: tuple[Method, ...], start: int, stop: int
+) -> tuple[list[tuple[int, list[float]] | None], int]:
+    """Per method, None if it failed, else its containment count and its
+    widths in replication order; and the LR rejection count."""
+    intervals, rejections = _evaluate_block(spec, methods, start, stop)
+    d = spec.true_delta
+    records = []
+    for rows in intervals:
+        if rows is None:
+            records.append(None)
         else:
-            records.append((ci.contains(spec.true_delta), ci.width, False))
-    test = lr_test(control, treatment, qspec, spec.true_delta)
-    return records, test.rejects_at(spec.alpha)
+            contained = int(((rows.lower <= d) & (d <= rows.upper)).sum())
+            records.append((contained, (rows.upper - rows.lower).tolist()))
+    return records, int(rejections.sum())
 
 
 def run_coverage_study(
@@ -285,38 +346,39 @@ def run_coverage_study(
     by all rows since the test is method-independent.
 
     ``methods`` takes anything :func:`select_methods` accepts. ``jobs`` > 1
-    distributes replications over worker processes; the output is
-    identical to the sequential run.
+    evaluates blocks in up to that many worker processes, never more than
+    there are blocks; the output is identical to the sequential run.
     """
     method_tuple = select_methods(methods)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
 
-    indices = range(spec.replications)
-    if jobs == 1:
-        results = [_replication_records(spec, method_tuple, r) for r in indices]
+    chunk = _chunk_size(spec, jobs)
+    starts = range(0, spec.replications, chunk)
+    stops = [min(start + chunk, spec.replications) for start in starts]
+    workers = min(jobs, len(starts))
+    if workers == 1:
+        results = list(map(_block_records, repeat(spec), repeat(method_tuple), starts, stops))
     else:
-        chunk = max(1, spec.replications // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(
-                    _replication_worker,
-                    ((spec, method_tuple, r) for r in indices),
-                    chunksize=chunk,
-                )
+                pool.map(_block_records, repeat(spec), repeat(method_tuple), starts, stops)
             )
 
     reject_count = 0
     contained = [0] * len(method_tuple)
     width_sum = [0.0] * len(method_tuple)
     failures = [0] * len(method_tuple)
-    for records, rejected in results:
+    for (records, rejected), start, stop in zip(results, starts, stops):
         reject_count += rejected
-        for pos, (is_in, width, failed) in enumerate(records):
-            if failed:
-                failures[pos] += 1
-            else:
-                contained[pos] += is_in
+        for pos, record in enumerate(records):
+            if record is None:
+                failures[pos] += stop - start
+                continue
+            contained[pos] += record[0]
+            # A sequential sum in replication order, so the mean width does
+            # not depend on how the replications were split into blocks.
+            for width in record[1]:
                 width_sum[pos] += width
 
     reject_rate = reject_count / spec.replications
@@ -342,12 +404,6 @@ def run_coverage_study(
             )
         )
     return rows
-
-
-def _replication_worker(
-    args: tuple[ScenarioSpec, tuple[Method, ...], int],
-) -> tuple[list[tuple[bool, float, bool]], bool]:
-    return _replication_records(*args)
 
 
 COVERAGE_CSV_HEADER = (

@@ -15,12 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ConfidenceInterval,
+    IntervalRows,
     Method,
     OrderedSample,
     QuantileSpec,
-    outward_index_interval,
+    float_squares,
+    outward_index_bounds,
 )
 from .errors import DomainError, InsufficientSampleError
 from .likelihood import normal_quantile
@@ -62,23 +66,45 @@ class SlopeEstimates:
     fallback: bool
 
 
-def _index_halfwidth(z: float, n_c: int, n_t: int, q: float, denom: float) -> float:
-    # Shared by both steps so that an equal-slope step 2 reproduces the
-    # step-1 floats bit for bit.
-    return z * math.sqrt(n_c * n_t * q * (1.0 - q) / denom)
+def _index_halfwidth(z: float, n_c: int, n_t: int, q: float, denom):
+    return z * np.sqrt(n_c * n_t * q * (1.0 - q) / denom)
 
 
-def _build_quad(
-    n_c: int, n_t: int, q: float, hw_i: float, hw_j: float
-) -> IndexQuad:
-    i_minus, i_plus, clamp_i = outward_index_interval(n_c * q, hw_i, n_c)
-    j_minus, j_plus, clamp_j = outward_index_interval(n_t * q, hw_j, n_t)
-    if i_minus == i_plus or j_minus == j_plus:
+def _quads(spec: QuantileSpec, n_c: int, n_t: int, ratio_c2: np.ndarray, ratio_t2: np.ndarray):
+    """Optimal indexes for arrays of squared slope ratios (m_c/m_t)^2 and (m_t/m_c)^2.
+
+    Returns the index arrays (i_minus, i_plus, j_minus, j_plus) and the
+    clamped and collapsed masks. Both steps run this one formula, so
+    ratios of 1.0 reproduce the step-1 indexes bit for bit.
+    """
+    z = normal_quantile(1.0 - spec.alpha / 2.0)
+    hw_i = _index_halfwidth(z, n_c, n_t, spec.q, n_t + n_c * ratio_c2)
+    hw_j = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t * ratio_t2)
+    i_minus, i_plus, clamp_i = outward_index_bounds(n_c * spec.q, hw_i, n_c)
+    j_minus, j_plus, clamp_j = outward_index_bounds(n_t * spec.q, hw_j, n_t)
+    collapsed = (i_minus == i_plus) | (j_minus == j_plus)
+    return i_minus, i_plus, j_minus, j_plus, clamp_i | clamp_j, collapsed
+
+
+def _step2_quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndarray):
+    """:func:`_quads` for arrays of slope estimates."""
+    positive = (m_c > 0.0) & (m_t > 0.0)
+    if not positive.all():
+        bad = np.flatnonzero(~positive)[0]
+        raise DomainError(f"slopes must be positive, got ({m_c[bad]}, {m_t[bad]})")
+    with np.errstate(over="ignore"):  # an infinite ratio is a valid extreme
+        ratio_c, ratio_t = m_c / m_t, m_t / m_c
+    return _quads(spec, n_c, n_t, float_squares(ratio_c), float_squares(ratio_t))
+
+
+def _one_quad(quads, n_c: int, n_t: int, q: float) -> IndexQuad:
+    i_minus, i_plus, j_minus, j_plus, clamped, collapsed = (v[0] for v in quads)
+    if collapsed:
         raise InsufficientSampleError(
             f"index interval collapsed (n_c={n_c}, n_t={n_t}, q={q}): "
             "sample too small for the requested quantile and level"
         )
-    return IndexQuad(i_minus, i_plus, j_minus, j_plus, clamped=clamp_i or clamp_j)
+    return IndexQuad(int(i_minus), int(i_plus), int(j_minus), int(j_plus), clamped=bool(clamped))
 
 
 def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
@@ -89,9 +115,22 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
     """
     if n_c < 1 or n_t < 1:
         raise DomainError("sample sizes must be >= 1")
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
-    hw = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t)
-    return _build_quad(n_c, n_t, spec.q, hw, hw)
+    one = np.ones(1)
+    return _one_quad(_quads(spec, n_c, n_t, one, one), n_c, n_t, spec.q)
+
+
+def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
+    """m_c, m_t and the fallback mask for each row pair of sorted blocks.
+
+    Where a denominator is zero the row falls back and its slopes are
+    meaningless.
+    """
+    dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
+    dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_c = ((quad.i_plus - quad.i_minus) / y_c.shape[1]) / dy_c
+        m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
+    return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0)
 
 
 def estimate_slopes(
@@ -104,13 +143,12 @@ def estimate_slopes(
     ``fallback`` rather than an error, since ties are routine in rounded
     or discrete-valued data.
     """
-    dy_c = control.order_stat(quad.i_plus) - control.order_stat(quad.i_minus)
-    dy_t = treatment.order_stat(quad.j_plus) - treatment.order_stat(quad.j_minus)
-    if dy_c <= 0.0 or dy_t <= 0.0:
+    if quad.i_plus > control.n or quad.j_plus > treatment.n:
+        raise DomainError(f"index quad {quad} outside the samples ({control.n}, {treatment.n})")
+    m_c, m_t, fallback = _slopes(control.values[None], treatment.values[None], quad)
+    if fallback[0]:
         return SlopeEstimates(m_c=math.nan, m_t=math.nan, fallback=True)
-    m_c = ((quad.i_plus - quad.i_minus) / control.n) / dy_c
-    m_t = ((quad.j_plus - quad.j_minus) / treatment.n) / dy_t
-    return SlopeEstimates(m_c=m_c, m_t=m_t, fallback=False)
+    return SlopeEstimates(m_c=float(m_c[0]), m_t=float(m_t[0]), fallback=False)
 
 
 def step2_indexes(
@@ -128,12 +166,36 @@ def step2_indexes(
         raise DomainError("sample sizes must be >= 1")
     if slopes.fallback:
         raise DomainError("step-2 indexes require non-degenerate slope estimates")
-    if not (slopes.m_c > 0.0 and slopes.m_t > 0.0):
-        raise DomainError(f"slopes must be positive, got ({slopes.m_c}, {slopes.m_t})")
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
-    hw_i = _index_halfwidth(z, n_c, n_t, spec.q, n_t + n_c * (slopes.m_c / slopes.m_t) ** 2)
-    hw_j = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t * (slopes.m_t / slopes.m_c) ** 2)
-    return _build_quad(n_c, n_t, spec.q, hw_i, hw_j)
+    quads = _step2_quads(spec, n_c, n_t, np.array([slopes.m_c]), np.array([slopes.m_t]))
+    return _one_quad(quads, n_c, n_t, spec.q)
+
+
+def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
+    """:func:`two_step_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
+    n_c, n_t = y_c.shape[1], y_t.shape[1]
+    quad1 = step1_indexes(spec, n_c, n_t)
+    m_c, m_t, fallback = _slopes(y_c, y_t, quad1)
+    quad = [
+        np.full(len(y_c), k) for k in (quad1.i_minus, quad1.i_plus, quad1.j_minus, quad1.j_plus)
+    ]
+    clamped = np.full(len(y_c), quad1.clamped)
+    fit = np.flatnonzero(~fallback)
+    *quad2, clamped2, collapsed = _step2_quads(spec, n_c, n_t, m_c[fit], m_t[fit])
+    # A collapsed step-2 quad keeps step 1 and counts as a fallback.
+    fallback[fit[collapsed]] = True
+    used, fit = ~collapsed, fit[~collapsed]
+    for old, new in zip(quad, quad2):
+        old[fit] = new[used]
+    clamped[fit] |= clamped2[used]
+    i_minus, i_plus, j_minus, j_plus = quad
+    rows = np.arange(len(y_c))
+    return IntervalRows(
+        method=Method.LR_TWO_STEP,
+        alpha=spec.alpha,
+        lower=y_t[rows, j_minus - 1] - y_c[rows, i_plus - 1],
+        upper=y_t[rows, j_plus - 1] - y_c[rows, i_minus - 1],
+        flags={"slope_fallback": fallback, "clamped_index": clamped},
+    )
 
 
 def two_step_ci(
@@ -148,27 +210,4 @@ def two_step_ci(
 
         (y_t(j_minus) - y_c(i_plus), y_t(j_plus) - y_c(i_minus)).
     """
-    n_c, n_t = control.n, treatment.n
-    quad1 = step1_indexes(spec, n_c, n_t)
-    slopes = estimate_slopes(control, treatment, quad1)
-    flags: set[str] = set()
-    if slopes.fallback:
-        quad = quad1
-        flags.add("slope_fallback")
-    else:
-        try:
-            quad = step2_indexes(spec, n_c, n_t, slopes)
-        except InsufficientSampleError:
-            quad = quad1
-            flags.add("slope_fallback")
-    if quad1.clamped or quad.clamped:
-        flags.add("clamped_index")
-    lower = treatment.order_stat(quad.j_minus) - control.order_stat(quad.i_plus)
-    upper = treatment.order_stat(quad.j_plus) - control.order_stat(quad.i_minus)
-    return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        alpha=spec.alpha,
-        method=Method.LR_TWO_STEP,
-        flags=frozenset(flags),
-    )
+    return two_step_rows(control.values[None], treatment.values[None], spec).first()

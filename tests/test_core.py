@@ -19,6 +19,7 @@ from quantdiff import (
     quantile_point_estimate,
     read_sample_csv,
 )
+from quantdiff.core import float_squares, outward_index_bounds
 from quantdiff.errors import (
     ConsistencyError,
     DomainError,
@@ -250,3 +251,19 @@ class TestOutwardIndexInterval:
     def test_integer_endpoints_not_widened(self):
         lo, hi, clamped = outward_index_interval(50.0, 10.0, 100)
         assert (lo, hi, clamped) == (40, 60, False)
+
+    def test_bounds_match_scalar_elementwise(self):
+        halfwidths = np.array([9.8, 5.0, 10.0, 0.0, 120.0])
+        lo, hi, clamped = outward_index_bounds(50.0, halfwidths, 100)
+        for k, hw in enumerate(halfwidths.tolist()):
+            assert (lo[k], hi[k], clamped[k]) == outward_index_interval(50.0, hw, 100)
+
+
+class TestFloatSquares:
+    def test_rounds_like_python_power(self):
+        # With glibc, pow(x, 2.0) and x * x differ in the last bit here; the
+        # interval formulas must keep Python's rounding.
+        x = float.fromhex("0x1.27cb4543e01a2p-2")
+        values = np.array([x, -3.0, 0.0, 1e-170])
+        got = float_squares(values)
+        assert [v.hex() for v in got.tolist()] == [(v**2).hex() for v in values.tolist()]

@@ -8,6 +8,7 @@ import pytest
 import scipy.stats as st
 
 from quantdiff import (
+    OrderedSample,
     QuantileSpec,
     acceptance_grid,
     conservative_ci,
@@ -16,6 +17,7 @@ from quantdiff import (
     lr_test,
     write_acceptance_grid_csv,
 )
+from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, ValidationError
 
 from oracles import best_reachable_score, full_grid_conservative, reachable_pairs
@@ -88,6 +90,31 @@ class TestConstrainedMaxIndexes:
             score = best_reachable_score(y_c, y_t, q, d)
             got = st.binom.logpmf(i, n_c, q) + st.binom.logpmf(j, n_t, q)
             assert got >= score - 1e-10, (trial, i, j, got, score)
+
+    def test_block_rows_match_one_pair_calls(self):
+        # The coverage engine decides the LR test for many replications at
+        # once; every row must get the (i*, j*) and the decision of its own
+        # one-pair call.
+        rng = np.random.default_rng(44)
+        for trial in range(60):
+            n_c, n_t, rows = int(rng.integers(1, 80)), int(rng.integers(1, 80)), 9
+            if trial % 2:
+                y_c = rng.integers(0, 6, size=(rows, n_c)).astype(float)
+                y_t = rng.integers(0, 6, size=(rows, n_t)).astype(float)
+            else:
+                y_c, y_t = rng.normal(size=(rows, n_c)), rng.normal(size=(rows, n_t))
+            y_c.sort(axis=1)
+            y_t.sort(axis=1)
+            spec = _spec(q=float(rng.choice([0.05, 0.3, 0.5, 0.95])))
+            d = float(rng.choice([0.0, 0.5, -2.0, 10.0, rng.normal()]))
+            i, j = region._constrained_max_rows(y_c, y_t, spec.q, d)
+            rejects = region.lr_rejections(y_c, y_t, spec, d)
+            for r in range(rows):
+                control, treatment = OrderedSample(y_c[r], n_c), OrderedSample(y_t[r], n_t)
+                got = (i[r], j[r])
+                assert got == constrained_max_indexes(control, treatment, spec.q, d), (trial, r)
+                want = lr_test(control, treatment, spec, d).rejects_at(spec.alpha)
+                assert rejects[r] == want, (trial, r)
 
     def test_extreme_d_pushes_to_boundary(self):
         i, j = constrained_max_indexes(GRID_101, GRID_101, 0.5, 1e6)

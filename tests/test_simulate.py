@@ -3,23 +3,31 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantdiff import (
     COVERAGE_CSV_HEADER,
+    TWO_SAMPLE_METHODS,
     Distribution,
     Method,
+    QuantileSpec,
     ScenarioSpec,
     generate_pair,
+    lr_test,
     parse_distribution,
     run_coverage_study,
     true_quantile,
     write_coverage_csv,
 )
-from quantdiff.errors import DomainError, ValidationError
-from quantdiff.simulate import _replication_records
+from quantdiff import simulate
+from quantdiff.cli import main as cli_main
+from quantdiff.errors import DomainError, EstimationError, NonFiniteValueError, ValidationError
+from quantdiff.simulate import compute_ci
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def _scenario(**overrides):
@@ -203,18 +211,17 @@ class TestRunCoverageStudy:
         # Same substreams, treatment shifted through its location parameter:
         # order statistics shift by exactly the constant, so every method's
         # per-replication containment indicator must match the unshifted run.
-        methods = tuple(
-            (Method.LR_CONSERVATIVE, Method.LR_TWO_STEP, Method.PRICE_BONNET,
-             Method.DONNER_ZOU)
-        )
         base = _scenario(replications=200)
         shifted = _scenario(
             replications=200, dist_t=Distribution.normal(1.5, 1.0)
         )
-        for r in range(base.replications):
-            rec_a, _ = _replication_records(base, methods, r)
-            rec_b, _ = _replication_records(shifted, methods, r)
-            assert [x[0] for x in rec_a] == [x[0] for x in rec_b], r
+        blocks = []
+        for spec in (base, shifted):
+            intervals, _ = simulate._evaluate_block(spec, TWO_SAMPLE_METHODS, 0, 200)
+            d = spec.true_delta
+            blocks.append([(rows.lower <= d) & (d <= rows.upper) for rows in intervals])
+        for method, in_a, in_b in zip(TWO_SAMPLE_METHODS, *blocks):
+            assert np.array_equal(in_a, in_b), method
 
     def test_tiny_samples_fail_only_where_expected(self):
         spec = _scenario(n_c=1, n_t=1, replications=30)
@@ -236,6 +243,170 @@ class TestRunCoverageStudy:
     def test_jobs_validation(self):
         with pytest.raises(DomainError):
             run_coverage_study(_scenario(replications=2), [Method.LR_TWO_STEP], jobs=0)
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def _random_distribution(rng):
+    family = rng.integers(4)
+    if family == 0:
+        return Distribution.normal(rng.uniform(-3, 3), rng.uniform(0.1, 5))
+    if family == 1:
+        return Distribution.lognormal(rng.uniform(-1, 1), rng.uniform(0.1, 2))
+    if family == 2:
+        return Distribution.exponential(rng.uniform(0.1, 10))
+    a = rng.uniform(-5, 5)
+    return Distribution.uniform(a, a + rng.uniform(0.01, 10))
+
+
+class TestBlockEngine:
+    """The study's block evaluation against the one-pair functions."""
+
+    @staticmethod
+    def _assert_block_matches_pairs(spec):
+        intervals, rejections = simulate._evaluate_block(
+            spec, TWO_SAMPLE_METHODS, 0, spec.replications
+        )
+        qspec = QuantileSpec(spec.q, spec.alpha)
+        for r in range(spec.replications):
+            control, treatment = generate_pair(spec, r)
+            for method, rows in zip(TWO_SAMPLE_METHODS, intervals):
+                try:
+                    ci = compute_ci(method, control, treatment, qspec)
+                except EstimationError:
+                    assert rows is None, (spec, r, method)
+                    continue
+                assert rows is not None, (spec, r, method)
+                assert _bits(rows.lower[r]) == _bits(ci.lower), (spec, r, method)
+                assert _bits(rows.upper[r]) == _bits(ci.upper), (spec, r, method)
+                flags = {name for name, mask in rows.flags.items() if mask[r]}
+                assert flags == ci.flags, (spec, r, method)
+            test = lr_test(control, treatment, qspec, spec.true_delta)
+            assert rejections[r] == test.rejects_at(spec.alpha), (spec, r)
+
+    def test_block_matches_pairs_randomized(self):
+        rng = np.random.default_rng(20240)
+        for case in range(80):
+            spec = ScenarioSpec(
+                dist_c=_random_distribution(rng),
+                dist_t=_random_distribution(rng),
+                n_c=int(rng.integers(1, 301)),
+                n_t=int(rng.integers(1, 301)),
+                q=float(rng.choice([0.05, 0.5, 0.9, 0.95])),
+                alpha=float(rng.choice([0.05, 0.01, 0.2])),
+                replications=int(rng.integers(1, 12)),
+                master_seed=int(rng.integers(0, 2**63)),
+            )
+            self._assert_block_matches_pairs(spec)
+
+    def test_block_matches_pairs_asymptotic_region(self):
+        spec = _scenario(
+            dist_t=Distribution.lognormal(0.0, 0.5), n_c=10_500, n_t=12_001, q=0.9,
+            replications=3,
+        )
+        self._assert_block_matches_pairs(spec)
+
+    def test_generate_pair_is_a_block_row(self):
+        spec = _scenario(replications=7)
+        y_c, y_t = simulate._draw_block(spec, 2, 7)
+        for r in range(2, 7):
+            control, treatment = generate_pair(spec, r)
+            assert np.array_equal(control.values, y_c[r - 2])
+            assert np.array_equal(treatment.values, y_t[r - 2])
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, max_workers, record):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The max_workers of every pool the study opens; workers run inline."""
+    record = []
+    monkeypatch.setattr(
+        simulate, "ProcessPoolExecutor", lambda max_workers: _InlineExecutor(max_workers, record)
+    )
+    return record
+
+
+def _csv(spec, jobs):
+    buf = io.StringIO()
+    write_coverage_csv(spec, run_coverage_study(spec, "all", jobs=jobs), buf)
+    return buf.getvalue()
+
+
+class TestChunking:
+    @pytest.mark.parametrize("replications,pool_of_three", [(1, []), (2, [2]), (23, [3])])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_csv_identical_across_chunkings(
+        self, replications, pool_of_three, jobs, monkeypatch, request
+    ):
+        spec = _scenario(n_c=40, n_t=60, replications=replications)
+        want = _csv(spec, 1)
+        # Blocks of at most 5 rows: 23 replications split 5, 5, 5, 5, 3.
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (40 + 60) * 5)
+        # Three workers run inline, so that no test starts more than two processes.
+        pools = request.getfixturevalue("inline_pool") if jobs == 3 else None
+        assert _csv(spec, jobs) == want
+        if pools is not None:
+            assert pools == pool_of_three
+
+    def test_workers_capped_by_chunks(self, inline_pool):
+        run_coverage_study(_scenario(replications=10), [Method.LR_TWO_STEP], jobs=500)
+        assert inline_pool == [10]
+        run_coverage_study(_scenario(replications=1), [Method.LR_TWO_STEP], jobs=3)
+        assert inline_pool == [10]  # one block: no pool at all
+
+    def test_block_stays_a_few_megabytes(self):
+        for n_c, n_t in [(500, 500), (10_000, 300), (1, 1)]:
+            spec = _scenario(n_c=n_c, n_t=n_t, replications=100_000)
+            rows = simulate._chunk_size(spec, 1)
+            assert rows * 8 * (n_c + n_t) <= 4 << 20
+        assert simulate._chunk_size(_scenario(n_c=10**7, n_t=10**7, replications=5), 1) == 1
+
+    def test_overflowing_draws_raise_validation_error(self, tmp_path, capsys):
+        spec = _scenario(dist_c=Distribution.lognormal(0.0, 1000.0), replications=5)
+        with pytest.raises(NonFiniteValueError):
+            run_coverage_study(spec, "all")
+        args = [
+            "simulate", "--dist-c", "lognormal(0,1000)", "--n-c", "50", "--n-t", "50",
+            "--q", "0.5", "--replications", "5", "--output", str(tmp_path / "out.csv"),
+        ]
+        assert cli_main(args) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,dist,q,seed",
+    [
+        ("normal_q50", Distribution.normal(0.0, 1.0), 0.5, 1001),
+        ("lognormal_q50", Distribution.lognormal(0.0, 1.0), 0.5, 1002),
+        ("lognormal_q90", Distribution.lognormal(0.0, 1.0), 0.9, 1003),
+    ],
+)
+def test_golden_coverage_csv(name, dist, q, seed):
+    # The acceptance scenarios at 300 replications; the files were written
+    # by the per-replication implementation that preceded the block engine.
+    spec = ScenarioSpec(
+        dist_c=dist, dist_t=dist, n_c=500, n_t=500, q=q, alpha=0.05,
+        replications=300, master_seed=seed,
+    )
+    golden = (GOLDEN / f"golden_{name}_r300.csv").read_text(encoding="utf-8")
+    assert _csv(spec, 1) == golden
 
 
 class TestWriteCoverageCsv:
