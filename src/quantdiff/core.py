@@ -6,7 +6,12 @@ Order statistics use 1-based logical indexes throughout the public API:
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import stat
+import sys
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
@@ -18,6 +23,7 @@ from .errors import (
     DomainError,
     EmptySampleError,
     NonFiniteValueError,
+    NumericOverflowError,
     ValidationError,
 )
 
@@ -96,6 +102,9 @@ class OrderedSample:
 def ingest_sample(raw_values: Iterable[float]) -> OrderedSample:
     """Validate and sort raw observations into an :class:`OrderedSample`.
 
+    A one-dimensional ``np.ndarray`` is converted directly; any other
+    iterable is first collected into a list.
+
     Raises
     ------
     EmptySampleError
@@ -104,8 +113,10 @@ def ingest_sample(raw_values: Iterable[float]) -> OrderedSample:
         If any value is NaN or infinite; the message names the offending
         position in the original input order.
     """
+    if not (isinstance(raw_values, np.ndarray) and raw_values.ndim == 1):
+        raw_values = list(raw_values)
     try:
-        arr = np.asarray(list(raw_values), dtype=float)
+        arr = np.asarray(raw_values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"sample values must be numeric: {exc}") from exc
     if arr.ndim != 1:
@@ -122,21 +133,92 @@ def ingest_sample(raw_values: Iterable[float]) -> OrderedSample:
 def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> OrderedSample:
     """Read a one-value-per-line CSV file into an :class:`OrderedSample`.
 
-    ``source`` may be a path, ``"-"`` for stdin, or an open text stream.
-    Parse errors report the file name and 1-based line number.
-    """
-    import sys
+    ``source`` may be a path, ``"-"`` for stdin, or an open text stream;
+    paths are read as UTF-8. A value line holds one number in any spelling
+    Python's ``float`` accepts, with surrounding whitespace allowed; blank
+    lines are skipped, and ``skip_header`` drops line 1 whatever it holds.
 
-    if isinstance(source, str):
-        name = source
-        if source == "-":
-            return _parse_value_lines(sys.stdin, "<stdin>", skip_header)
+    numpy's C reader parses the input first. When it fails, or reads
+    anything but one column of finite values, the per-line parser reads
+    the input again: it accepts what only ``float`` knows (``1_000``,
+    non-ASCII digits) and raises the errors, which name the file and the
+    1-based line number.
+    """
+    if not isinstance(source, str):
+        stream, name = source, getattr(source, "name", "<stream>")
+    elif source == "-":
+        stream, name = sys.stdin, "<stdin>"
+    else:
+        stream, name = None, source
+    try:
+        if stream is not None:
+            return _read_buffered(stream, name, skip_header)
         with open(source, "r", encoding="utf-8") as fh:
-            return _parse_value_lines(fh, name, skip_header)
-    return _parse_value_lines(source, getattr(source, "name", "<stream>"), skip_header)
+            path = _loadtxt_path(fh)
+            values = None if path is None else _load_column(path, skip_header)
+            if values is None:
+                return _parse_value_lines(fh, name, skip_header)
+            return ingest_sample(values)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{name}: not valid {exc.encoding.upper()}: {exc}") from exc
+
+
+# File names that numpy's loadtxt decompresses instead of reading as text.
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt_path(fh: IO[str]) -> str | None:
+    """A path by which numpy's loadtxt reads the same plain file as ``fh``, or None.
+
+    Only a regular file can be opened a second time and read from the
+    start (a pipe cannot). The resolved path is absolute, so numpy never
+    takes it for a URL.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    path = os.path.realpath(fh.name)
+    return None if path.endswith(_NUMPY_DECOMPRESSES) else path
+
+
+def _read_buffered(stream: IO[str], name: str, skip_header: bool) -> OrderedSample:
+    """Read a stream once; both parsers work on the buffered text.
+
+    Lines of the buffered text end at a line feed: ``sys.stdin`` has
+    already translated CR LF and a lone CR when it is read.
+    """
+    text = stream.read()
+    values = _load_column(io.StringIO(text), skip_header)
+    if values is None:
+        return _parse_value_lines(io.StringIO(text), name, skip_header)
+    return ingest_sample(values)
+
+
+def _load_column(source: str | IO[str], skip_header: bool) -> np.ndarray | None:
+    """The values numpy's C reader finds, if they form one column of finite values; else None.
+
+    A path is read in large chunks; a stream goes line by line, at about
+    half the speed.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(
+                source,
+                dtype=float,
+                comments=None,
+                ndmin=2,
+                skiprows=int(skip_header),
+                encoding="utf-8",
+            )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if arr.shape[0] == 0 or arr.shape[1] != 1 or not np.isfinite(arr).all():
+        return None
+    return arr[:, 0]
 
 
 def _parse_value_lines(lines: Iterable[str], name: str, skip_header: bool) -> OrderedSample:
+    """The per-line parser: one ``float`` per non-blank line, each error with its line number."""
     values = []
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 and skip_header:
@@ -218,8 +300,17 @@ def float_squares(values: np.ndarray) -> np.ndarray:
     (about 1 in 1,000 lognormal values). The interval formulas square this
     way so that their endpoints, and the coverage tables built from them,
     stay the same to the last bit.
+
+    Raises :class:`NumericOverflowError` where a square exceeds the float
+    range (Python's power raises there; numpy's would return infinity).
     """
-    return np.array([v**2 for v in values.tolist()], dtype=float)
+    try:
+        return np.array([v**2 for v in values.tolist()], dtype=float)
+    except OverflowError:
+        big = float(np.nanmax(np.abs(values)))
+        raise NumericOverflowError(
+            f"squaring {big:.6g} overflows double precision; rescale the samples"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -42,5 +42,9 @@ class DegenerateRegionError(EstimationError):
     """The acceptance region contains no usable index pairs."""
 
 
+class NumericOverflowError(EstimationError):
+    """The interval arithmetic overflows double precision on these values."""
+
+
 class ConsistencyError(QuantdiffError, RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""

@@ -36,7 +36,13 @@ from .core import (
     OrderedSample,
     QuantileSpec,
 )
-from .errors import DomainError, EstimationError, NonFiniteValueError, ValidationError
+from .errors import (
+    DomainError,
+    EstimationError,
+    NonFiniteValueError,
+    NumericOverflowError,
+    ValidationError,
+)
 from .likelihood import normal_quantile
 from .region import conservative_ci, conservative_rows, lr_rejections
 from .two_step import two_step_ci, two_step_rows
@@ -86,6 +92,8 @@ class Distribution:
             raise DomainError(f"rate must be > 0, got {params[0]}")
         if family is DistFamily.UNIFORM and params[1] <= params[0]:
             raise DomainError(f"uniform needs a < b, got {params}")
+        if family is DistFamily.UNIFORM and not math.isfinite(params[1] - params[0]):
+            raise DomainError(f"uniform width b - a overflows double precision: {params}")
 
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "Distribution":
@@ -140,7 +148,10 @@ def true_quantile(dist: Distribution, q: float) -> float:
         return mu + sigma * normal_quantile(q)
     if dist.family is DistFamily.LOGNORMAL:
         mu, sigma = dist.params
-        return math.exp(mu + sigma * normal_quantile(q))
+        try:
+            return math.exp(mu + sigma * normal_quantile(q))
+        except OverflowError:
+            raise DomainError(f"the {q} quantile of {dist} overflows double precision") from None
     if dist.family is DistFamily.EXPONENTIAL:
         (rate,) = dist.params
         return -math.log1p(-q) / rate
@@ -304,34 +315,68 @@ def _evaluate_block(
 ) -> tuple[list[IntervalRows | None], np.ndarray]:
     """Each method's intervals for replications start..stop-1, and the LR rejections at true_delta.
 
-    A method whose inference fails (the failure depends only on the sizes,
-    q and alpha, never on the draws) gets None.
+    A method whose inference fails on every row gets None. Most failures
+    depend only on the sizes, q and alpha; an overflow depends on the
+    draws, so a block that overflows is evaluated again row by row and the
+    rows that fail on their own get NaN endpoints.
     """
     y_c, y_t = _draw_block(spec, start, stop)
     qspec = QuantileSpec(spec.q, spec.alpha)
     intervals: list[IntervalRows | None] = []
     for method in methods:
+        row_fn = _METHODS[method][1]
         try:
-            intervals.append(_METHODS[method][1](y_c, y_t, qspec))
+            intervals.append(row_fn(y_c, y_t, qspec))
+        except NumericOverflowError:
+            intervals.append(_row_by_row(row_fn, y_c, y_t, qspec))
         except EstimationError:
             intervals.append(None)
     return intervals, lr_rejections(y_c, y_t, qspec, spec.true_delta)
 
 
+def _row_by_row(
+    row_fn, y_c: np.ndarray, y_t: np.ndarray, qspec: QuantileSpec
+) -> IntervalRows | None:
+    """row_fn on each row pair alone: NaN endpoints where it fails, None if it fails on all."""
+    each = []
+    for r in range(len(y_c)):
+        try:
+            each.append(row_fn(y_c[r : r + 1], y_t[r : r + 1], qspec))
+        except EstimationError:
+            each.append(None)
+    ok = [rows for rows in each if rows is not None]
+    if not ok:
+        return None
+    nan, unset = np.full(1, np.nan), np.zeros(1, dtype=bool)
+    return IntervalRows(
+        method=ok[0].method,
+        alpha=ok[0].alpha,
+        lower=np.concatenate([nan if rows is None else rows.lower for rows in each]),
+        upper=np.concatenate([nan if rows is None else rows.upper for rows in each]),
+        flags={
+            name: np.concatenate([unset if rows is None else rows.flags[name] for rows in each])
+            for name in ok[0].flags
+        },
+    )
+
+
 def _block_records(
     spec: ScenarioSpec, methods: tuple[Method, ...], start: int, stop: int
-) -> tuple[list[tuple[int, list[float]] | None], int]:
-    """Per method, None if it failed, else its containment count and its
-    widths in replication order; and the LR rejection count."""
+) -> tuple[list[tuple[int, int, list[float]]], int]:
+    """Per method, its failure count, containment count and the widths of
+    the rows that did not fail, in replication order; and the LR rejection
+    count."""
     intervals, rejections = _evaluate_block(spec, methods, start, stop)
     d = spec.true_delta
     records = []
     for rows in intervals:
         if rows is None:
-            records.append(None)
+            records.append((stop - start, 0, []))
         else:
+            scored = ~np.isnan(rows.lower)
             contained = int(((rows.lower <= d) & (d <= rows.upper)).sum())
-            records.append((contained, (rows.upper - rows.lower).tolist()))
+            widths = (rows.upper - rows.lower)[scored].tolist()
+            records.append((stop - start - len(widths), contained, widths))
     return records, int(rejections.sum())
 
 
@@ -369,16 +414,14 @@ def run_coverage_study(
     contained = [0] * len(method_tuple)
     width_sum = [0.0] * len(method_tuple)
     failures = [0] * len(method_tuple)
-    for (records, rejected), start, stop in zip(results, starts, stops):
+    for records, rejected in results:
         reject_count += rejected
-        for pos, record in enumerate(records):
-            if record is None:
-                failures[pos] += stop - start
-                continue
-            contained[pos] += record[0]
+        for pos, (failed, inside, widths) in enumerate(records):
+            failures[pos] += failed
+            contained[pos] += inside
             # A sequential sum in replication order, so the mean width does
             # not depend on how the replications were split into blocks.
-            for width in record[1]:
+            for width in widths:
                 width_sum[pos] += width
 
     reject_rate = reject_count / spec.replications

@@ -2,17 +2,21 @@
 
 Everything here deliberately avoids the library's own code paths:
 binomial log-pmfs come from exact big-integer rationals or scipy, critical
-values from scipy, and the region/line-search results from exhaustive
-scans with no windowing or span restriction.
+values from scipy, the region/line-search results from exhaustive scans
+with no windowing or span restriction, and sample files from a plain
+per-line ``float()`` loop.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import scipy.stats as st
+
+from quantdiff.errors import EmptySampleError, NonFiniteValueError, ValidationError
 
 
 def exact_binom_pmf(i: int, n: int, q: Fraction) -> Fraction:
@@ -96,3 +100,38 @@ def best_reachable_score(
     lp_c = st.binom.logpmf(np.arange(n_c + 1), n_c, q)
     lp_t = st.binom.logpmf(np.arange(n_t + 1), n_t, q)
     return max(lp_c[i] + lp_t[j] for i, j in reachable_pairs(y_c, y_t, d))
+
+
+def per_line_sample_csv(source, skip_header: bool = False) -> np.ndarray:
+    """The sorted values of a sample file, parsed one line at a time.
+
+    The reference for ``read_sample_csv``: ``source`` is a path, ``"-"``
+    for stdin, or a text stream; the lines are iterated as the stream
+    yields them, and each error carries the library's type and message.
+    """
+    if isinstance(source, str):
+        if source == "-":
+            return _per_line_values(sys.stdin, "<stdin>", skip_header)
+        with open(source, "r", encoding="utf-8") as fh:
+            return _per_line_values(fh, source, skip_header)
+    return _per_line_values(source, getattr(source, "name", "<stream>"), skip_header)
+
+
+def _per_line_values(lines, name: str, skip_header: bool) -> np.ndarray:
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and skip_header:
+            continue
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValidationError(f"{name}:{lineno}: not a number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise NonFiniteValueError(f"{name}:{lineno}: non-finite value: {text!r}")
+        values.append(value)
+    if not values:
+        raise EmptySampleError(f"{name}: no values found")
+    return np.sort(np.asarray(values, dtype=float))

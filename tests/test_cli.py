@@ -155,6 +155,36 @@ class TestCI:
         assert code == 2
         assert "bad.csv:2" in err
 
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, identical_files):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1.0\n2.5\xb0\n")
+        _, t = identical_files
+        code, out, err = _run(
+            capsys, ["ci", "--control", str(bad), "--treatment", t, "--q", "0.5"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: not valid UTF-8: ")
+
+    def test_overflowing_squares_exit_3_naming_method(self, capsys, tmp_path):
+        rng = np.random.default_rng(8)
+        paths = []
+        for name in ("c.csv", "t.csv"):
+            p = tmp_path / name
+            p.write_text("\n".join(map(repr, (rng.uniform(-1, 1, 200) * 1e300).tolist())))
+            paths.append(str(p))
+        argv = ["ci", "--control", paths[0], "--treatment", paths[1], "--q", "0.5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: price_bonnet: squaring ")
+        assert "overflows double precision" in err
+        for method in ("price_bonnet", "donner_zou"):
+            code, _, err = _run(capsys, argv + ["--methods", method])
+            assert code == 3 and err.startswith(f"error: {method}: ")
+        code, out, err = _run(capsys, argv + ["--methods", "lr_conservative"])
+        assert code == 0 and err == ""
+        r = json.loads(out)
+        assert r["method"] == "lr_conservative" and r["lower"] < r["upper"]
+
     def test_header_skip(self, capsys, tmp_path):
         c = tmp_path / "h.csv"
         c.write_text("value\n" + "\n".join(str(k) for k in range(1, 102)) + "\n")
@@ -322,6 +352,24 @@ class TestSimulate:
         )
         assert code == 2
         assert "cauchy" in err
+
+    def test_overflowing_true_quantile_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--dist-c", "lognormal(0,1000)", "--q", "0.9",
+             "--replications", "5"],
+        )
+        assert code == 2 and out == ""
+        assert err == "error: the 0.9 quantile of lognormal(0,1000) overflows double precision\n"
+
+    def test_overflowing_uniform_width_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--dist-c", "uniform(-1e308,1e308)", "--q", "0.5",
+             "--replications", "3"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: uniform width b - a overflows double precision")
 
     def test_deterministic_across_runs_and_jobs(self, tmp_path, capsys):
         args = ["simulate", "--n-c", "50", "--n-t", "50", "--q", "0.5",

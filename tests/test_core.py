@@ -1,12 +1,18 @@
 """Sample ingestion, index arithmetic, and point estimation."""
 
+import contextlib
 import io
 import math
+import os
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
+from oracles import per_line_sample_csv
 
 from quantdiff import (
     ConfidenceInterval,
@@ -19,12 +25,14 @@ from quantdiff import (
     quantile_point_estimate,
     read_sample_csv,
 )
+from quantdiff import core
 from quantdiff.core import float_squares, outward_index_bounds
 from quantdiff.errors import (
     ConsistencyError,
     DomainError,
     EmptySampleError,
     NonFiniteValueError,
+    NumericOverflowError,
     ValidationError,
 )
 
@@ -59,6 +67,22 @@ class TestIngestSample:
     def test_duplicates_preserved(self):
         s = ingest_sample([2.0, 2.0, 1.0])
         assert list(s.values) == [1.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, -0.0, 0.0, 1.0, 3.0], [], [1.0, float("nan")], [2.0, float("-inf")], [[1.0, 2.0]]],
+    )
+    def test_array_list_and_generator_agree(self, values):
+        def outcome(raw):
+            try:
+                s = ingest_sample(raw)
+            except ValidationError as exc:
+                return type(exc), str(exc)
+            return s.n, s.values.view(np.uint64).tolist()
+
+        want = outcome(list(values))
+        assert outcome(np.array(values, dtype=float)) == want
+        assert outcome(v for v in values) == want
 
     @settings(max_examples=50)
     @given(hst.lists(finite_floats, min_size=1, max_size=80))
@@ -123,6 +147,130 @@ class TestReadSampleCsv:
     def test_blank_lines_skipped(self):
         s = read_sample_csv(io.StringIO("1\n\n2\n"))
         assert s.n == 2
+
+    @pytest.mark.parametrize("text", ["1.0\t2.0", "1.0 2.0\n"])
+    def test_two_values_on_one_line_rejected(self, tmp_path, text):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=r"x\.csv:1: not a number"):
+            read_sample_csv(str(p))
+
+    def test_overflow_to_infinity_names_its_line(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("1.5\n\n1e400\n2\n")
+        with pytest.raises(NonFiniteValueError, match=r"x\.csv:3: non-finite value: '1e400'"):
+            read_sample_csv(str(p))
+
+    def test_spellings_only_float_knows(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("1_000\n\u0661\n -2.5e0 \n", encoding="utf-8")
+        assert list(read_sample_csv(str(p)).values) == [-2.5, 1.0, 1000.0]
+
+    def test_well_formed_file_skips_per_line_parser(self, tmp_path, monkeypatch):
+        p = tmp_path / "x.csv"
+        p.write_text("value\n3\n\n -1.5\t\n2e-3\n")
+        monkeypatch.setattr(core, "_parse_value_lines", None)
+        assert list(read_sample_csv(str(p), skip_header=True).values) == [-1.5, 2e-3, 3.0]
+
+    def test_compressed_file_name_read_as_text(self, tmp_path):
+        # numpy's loadtxt would try to decompress a path ending in .gz.
+        p = tmp_path / "x.csv.gz"
+        p.write_text("2\n1\n")
+        assert list(read_sample_csv(str(p)).values) == [1.0, 2.0]
+
+    def test_pipe_read_once(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("2\n1\n",))
+        writer.start()
+        try:
+            assert list(read_sample_csv(str(fifo)).values) == [1.0, 2.0]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_invalid_utf8_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"1\n2\xff\n")
+        with pytest.raises(ValidationError, match=r"x\.csv: not valid UTF-8: "):
+            read_sample_csv(str(p))
+
+
+# What a sample file may hold: Python float spellings, numpy-only and
+# float-only ones, whitespace that str.strip() removes but a file iterator
+# does not split on, and characters no number contains.
+_WHITESPACE = [" ", "\t", "\x0b", "\x0c", "\xa0", "\x1c", "\x85", "\u2028", "\u2029", "\u3000"]
+_TOKENS = [*"0123456789.eE+-_", "nan", "inf", ",", "#", "\ufeff", "\x00", "\u0661", *_WHITESPACE]
+_pad = hst.lists(hst.sampled_from(_WHITESPACE), max_size=2).map("".join)
+_number = hst.one_of(
+    hst.floats().map(repr),
+    hst.integers(-(10**20), 10**20).map(str),
+    hst.floats(width=32).map(lambda x: format(x, ".3e")),
+)
+_line = hst.one_of(
+    hst.tuples(_pad, _number, _pad).map("".join),
+    hst.lists(hst.sampled_from(_TOKENS), max_size=6).map("".join),
+    _pad,
+)
+
+
+@hst.composite
+def _sample_text(draw):
+    lines = draw(hst.lists(hst.tuples(_line, hst.sampled_from(["\n", "\r", "\r\n"])), max_size=8))
+    text = "".join(line + end for line, end in lines)
+    if lines and not draw(hst.booleans()):
+        text = text[: -len(lines[-1][1])]
+    return text
+
+
+def _read_outcome(read, text, mode, skip_header, path):
+    """The bits of the sorted values ``read`` returns, or the type and message it raises.
+
+    ``mode`` gives ``text`` as a path, a text stream, or stdin.
+    """
+    stdin = contextlib.nullcontext()
+    if mode == "path":
+        path.write_bytes(text.encode("utf-8"))
+        source = str(path)
+    elif mode == "stream":
+        source = io.StringIO(text)
+    else:
+        source = "-"
+        wrapper = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+        stdin = mock.patch.object(sys, "stdin", wrapper)
+    try:
+        with stdin:
+            result = read(source, skip_header)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    values = result.values if isinstance(result, OrderedSample) else result
+    return values.view(np.uint64).tolist()
+
+
+class TestReadSampleCsvMatchesPerLineParser:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        text=_sample_text(),
+        skip_header=hst.booleans(),
+        mode=hst.sampled_from(["path", "stream", "stdin"]),
+    )
+    @example(text="", skip_header=False, mode="path")
+    @example(text="value", skip_header=True, mode="path")
+    @example(text="value\n", skip_header=True, mode="stdin")
+    @example(text="1.0\t2.0", skip_header=False, mode="path")
+    @example(text="-0.0\n0.0\n-0\n0\n", skip_header=False, mode="stream")
+    @example(text="1\n\n1e400\n", skip_header=False, mode="path")
+    @example(text="\ufeff1\n2\n", skip_header=False, mode="path")
+    @example(text="1\r2\n", skip_header=False, mode="stream")
+    @example(text="h\r2\n3\n", skip_header=True, mode="stream")
+    @example(text=" \t\n\x85\n\u2028\n", skip_header=False, mode="stdin")
+    def test_same_values_or_same_error(self, tmp_path, text, skip_header, mode):
+        path = tmp_path / "sample.csv"
+        want = _read_outcome(per_line_sample_csv, text, mode, skip_header, path)
+        got = _read_outcome(read_sample_csv, text, mode, skip_header, path)
+        assert got == want
 
 
 class TestMaxLikelihoodIndex:
@@ -267,3 +415,8 @@ class TestFloatSquares:
         values = np.array([x, -3.0, 0.0, 1e-170])
         got = float_squares(values)
         assert [v.hex() for v in got.tolist()] == [(v**2).hex() for v in values.tolist()]
+
+    def test_overflow_raises_estimation_error(self):
+        with pytest.raises(NumericOverflowError, match="squaring 2e\\+300 overflows"):
+            float_squares(np.array([1.0, -2e300, np.nan]))
+        assert float_squares(np.array([np.inf, 1e154])).tolist() == [np.inf, 1e154**2]

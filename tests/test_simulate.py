@@ -389,6 +389,30 @@ class TestChunking:
         assert cli_main(args) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflow_fails_only_its_replications(self, monkeypatch):
+        # Near e^355 some replications' squared spreads pass the float range
+        # and others do not; each counts on its own, however blocks split.
+        dist = Distribution.lognormal(355.0, 1.0)
+        spec = _scenario(dist_c=dist, dist_t=dist, n_c=20, n_t=20, replications=23)
+        qspec = QuantileSpec(spec.q, spec.alpha)
+        want = dict.fromkeys(TWO_SAMPLE_METHODS, 0)
+        # Sums of two in-range squares may still reach infinity.
+        with np.errstate(over="ignore"):
+            for r in range(spec.replications):
+                control, treatment = generate_pair(spec, r)
+                for method in TWO_SAMPLE_METHODS:
+                    try:
+                        compute_ci(method, control, treatment, qspec)
+                    except EstimationError:
+                        want[method] += 1
+            rows = run_coverage_study(spec, "all")
+            whole = _csv(spec, 1)
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (20 + 20) * 5)
+            split = _csv(spec, 1)
+        assert 0 < want[Method.DONNER_ZOU] < spec.replications
+        assert {row.method: row.failures for row in rows} == want
+        assert split == whole
+
 
 @pytest.mark.parametrize(
     "name,dist,q,seed",
