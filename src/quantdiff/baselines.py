@@ -22,6 +22,7 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    finite_endpoints,
     float_squares,
     outward_index_interval,
     point_estimates,
@@ -86,6 +87,7 @@ def _interval_rows(method: Method, spec: QuantileSpec, lower, upper, clamped: bo
     return IntervalRows(method=method, alpha=spec.alpha, lower=lower, upper=upper, flags=flags)
 
 
+@finite_endpoints
 def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`price_bonnet_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     z = normal_quantile(1.0 - spec.alpha / 2.0)
@@ -110,6 +112,7 @@ def price_bonnet_ci(
     return price_bonnet_rows(control.values[None], treatment.values[None], spec).first()
 
 
+@finite_endpoints
 def donner_zou_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`donner_zou_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)

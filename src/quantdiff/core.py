@@ -6,6 +6,7 @@ Order statistics use 1-based logical indexes throughout the public API:
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -364,3 +365,29 @@ class IntervalRows:
             method=self.method,
             flags=frozenset(name for name, mask in self.flags.items() if mask[0]),
         )
+
+
+def finite_endpoints(row_fn):
+    """Wrap an interval row function so that every endpoint it returns is finite.
+
+    A difference or a sum of finite doubles can pass the float range, and
+    infinity minus infinity is NaN. The wrapped function runs with numpy's
+    overflow warnings off; a row with an infinite or NaN endpoint raises
+    :class:`NumericOverflowError`. A coverage study catches it and runs
+    the block again row by row, so only the rows that overflow fail.
+    """
+
+    @functools.wraps(row_fn)
+    def checked(*args, **kwargs) -> IntervalRows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = row_fn(*args, **kwargs)
+        finite = np.isfinite(rows.lower) & np.isfinite(rows.upper)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise NumericOverflowError(
+                f"interval [{rows.lower[bad]}, {rows.upper[bad]}] overflows double precision; "
+                "rescale the samples"
+            )
+        return rows
+
+    return checked

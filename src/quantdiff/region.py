@@ -1,11 +1,12 @@
 """Constrained maximization, the LR hypothesis test, and the region CI.
 
 The hypothesis tau_{q,t} = tau_{q,c} + d couples the two samples through a
-single scalar tau. Because both count functions i(tau) = #{y_c < tau} and
-j(tau) = #{y_t < tau + d} are step functions, the constrained likelihood
-maximum is found by a line search over the finitely many intervals between
-breakpoints, restricted to the closed span between the two unconstrained
-optima.
+single scalar tau. Both count functions i(tau) = #{y_c < tau} and
+j(tau) = #{y_t < tau + d} are step functions, so the constrained likelihood
+maximum is a maximum over finitely many count pairs: the counts at or
+below each breakpoint, restricted to the closed span between the two
+unconstrained optima. Counting at the breakpoints themselves, rather than
+at a tau between them, keeps every gap, however narrow.
 
 The exact statistic H(i, j) separates into per-sample deficits,
 H = g_c(i) + g_t(j), each unimodal with minimum 0 at floor(q*(n+1)). The
@@ -31,6 +32,7 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    finite_endpoints,
     max_likelihood_index,
 )
 from .errors import ConsistencyError, DegenerateRegionError, ValidationError
@@ -40,7 +42,6 @@ from .likelihood import (
     chi2_sf_1df,
     exact_statistic,
     log_binomial_pmf,
-    lr_statistic_exact,
 )
 
 
@@ -150,14 +151,17 @@ def _optimum(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _constrained_max_rows(
     y_c: np.ndarray, y_t: np.ndarray, q: float, d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`constrained_max_indexes` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i*, j*, H) of :func:`lr_test` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
 
-    The one copy of the candidate rule. A row's candidates are one tau per
-    gap between consecutive distinct breakpoints (control values and
-    shifted treatment values) inside the closed span between the two
-    optima, plus the gap just beyond each span edge; the first maximum in
-    ascending tau wins.
+    The one copy of the candidate rule. The counts are constant between
+    consecutive breakpoints (control values and shifted treatment values),
+    so a row's candidates are count pairs, in ascending tau: the counts
+    below its first breakpoint inside the closed span between the two
+    optima, then the counts at or below each distinct breakpoint in the
+    span. That is one pair per gap inside the span plus the gap just
+    beyond each edge; the first maximum wins. H is the exact statistic of
+    the winning pair.
     """
     if not (0.0 < q < 1.0):
         raise ValidationError(f"q must lie in (0, 1), got {q!r}")
@@ -171,59 +175,45 @@ def _constrained_max_rows(
     lo_t, hi_t = _optimum(y_t, k_t)
     i_star = np.full(len(y_c), k_c)
     j_star = np.full(len(y_c), k_t)
+    log_h = np.full(len(y_c), log_binomial_pmf(k_c, q, n_c) + log_binomial_pmf(k_t, q, n_t))
     # Where the optima overlap, the constraint binds nowhere and H = 0.
     bound = np.flatnonzero(~(np.maximum(lo_c, lo_t) < np.minimum(hi_c, hi_t)))
-    if bound.size == 0:
-        return i_star, j_star
-    span_lo = np.minimum(lo_c, lo_t)[bound]
-    span_hi = np.maximum(hi_c, hi_t)[bound]
-
-    # Each bound row's breakpoints inside the span, plus each sample's
-    # nearest one beyond either edge. Finite span edges are themselves
-    # breakpoints, so no row is empty. Rows are numbered 0..B-1 from here
-    # on; bound[k] is row k's row in the blocks.
-    values, owner = [], []
-    for y in (y_c, y_t):
-        start = np.maximum(_searchsorted_rows(y, bound, span_lo, "left") - 1, 0)
-        stop = np.minimum(_searchsorted_rows(y, bound, span_hi, "right") + 1, y.shape[1])
-        k, col = _ranges(start, stop - start)
-        values.append(y[bound[k], col])
-        owner.append(k)
-    points, row = np.concatenate(values), np.concatenate(owner)
-    order = np.lexsort((points, row))
-    points, row = points[order], row[order]
-    distinct = np.ones(points.size, dtype=bool)
-    distinct[1:] = (row[1:] != row[:-1]) | (points[1:] != points[:-1])
-    points, row = points[distinct], row[distinct]
-    rows = np.arange(bound.size)
-    row_start = np.searchsorted(row, rows, side="left")
-    row_last = np.searchsorted(row, rows, side="right") - 1
-    first = row_start + np.bincount(row[points < span_lo[row]], minlength=rows.size)
-    last = row_start + np.bincount(row[points <= span_hi[row]], minlength=rows.size) - 1
-
-    # One candidate per open interval inside the span, plus the interval
-    # just outside each span edge. The outside intervals are dominated
-    # whenever the optimum regions are nonempty, but with heavily tied
-    # values a region can be an empty interval and the maximizer can sit
-    # immediately beyond the edge. Gap g lies between points g and g + 1;
-    # an edge with no breakpoint beyond it gets a tau 1.0 past the edge.
-    count = last - first + 2
-    tau_row, gap = _ranges(first - 1, count)
-    taus = np.append(0.5 * (points[:-1] + points[1:]), 0.0)[gap]
-    tau_first = np.cumsum(count) - count
-    below, above = first == row_start, last == row_last
-    taus[tau_first[below]] = points[first[below]] - 1.0
-    taus[(tau_first + count - 1)[above]] = points[last[above]] + 1.0
-
-    i = _searchsorted_rows(y_c, bound[tau_row], taus, "left")
-    j = _searchsorted_rows(y_t, bound[tau_row], taus, "left")
-    score = _log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)
-    # Ties in likelihood resolve to each row's first maximum.
-    hits = np.flatnonzero(score == np.maximum.reduceat(score, tau_first)[tau_row])
-    best = hits[np.searchsorted(tau_row[hits], rows)]
-    i_star[bound] = i[best]
-    j_star[bound] = j[best]
-    return i_star, j_star
+    if bound.size:
+        span_lo = np.minimum(lo_c, lo_t)[bound]
+        span_hi = np.maximum(hi_c, hi_t)[bound]
+        # Each bound row's breakpoints inside the span. Finite span edges
+        # are themselves breakpoints, so no row is empty. Rows are numbered
+        # 0..B-1 from here on; bound[k] is row k's row in the blocks.
+        below, values, owner = [], [], []
+        for y in (y_c, y_t):
+            start = _searchsorted_rows(y, bound, span_lo, "left")
+            stop = _searchsorted_rows(y, bound, span_hi, "right")
+            k, col = _ranges(start, stop - start)
+            below.append(start)
+            values.append(y[bound[k], col])
+            owner.append(k)
+        points, row = np.concatenate(values), np.concatenate(owner)
+        order = np.lexsort((points, row))
+        points, row = points[order], row[order]
+        distinct = np.ones(points.size, dtype=bool)
+        distinct[1:] = (row[1:] != row[:-1]) | (points[1:] != points[:-1])
+        points, row = points[distinct], row[distinct]
+        i = _searchsorted_rows(y_c, bound[row], points, "right")
+        j = _searchsorted_rows(y_t, bound[row], points, "right")
+        # Below a row's first breakpoint in the span the counts are those
+        # below span_lo: the first candidate of each row.
+        rows = np.arange(bound.size)
+        first = np.searchsorted(row, rows)
+        i = np.insert(i, first, below[0])
+        j = np.insert(j, first, below[1])
+        row = np.insert(row, first, rows)
+        first += rows
+        score = _log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)
+        # Ties in likelihood resolve to each row's first maximum.
+        hits = np.flatnonzero(score == np.maximum.reduceat(score, first)[row])
+        best = hits[np.searchsorted(row[hits], rows)]
+        i_star[bound], j_star[bound], log_h[bound] = i[best], j[best], score[best]
+    return i_star, j_star, exact_statistic(log_h, q, n_c, n_t)
 
 
 def constrained_max_indexes(
@@ -236,16 +226,13 @@ def constrained_max_indexes(
     the candidate with the smallest i (then smallest j): the first maximum
     in ascending tau.
     """
-    i, j = _constrained_max_rows(control.values[None], treatment.values[None], q, d)
+    i, j, _ = _constrained_max_rows(control.values[None], treatment.values[None], q, d)
     return int(i[0]), int(j[0])
 
 
 def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
     """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted blocks."""
-    n_c, n_t = y_c.shape[1], y_t.shape[1]
-    i, j = _constrained_max_rows(y_c, y_t, spec.q, d)
-    log_h = _log_pmfs(i, spec.q, n_c) + _log_pmfs(j, spec.q, n_t)
-    return exact_statistic(log_h, spec.q, n_c, n_t) >= chi2_quantile_1df(spec.alpha)
+    return _constrained_max_rows(y_c, y_t, spec.q, d)[2] >= chi2_quantile_1df(spec.alpha)
 
 
 def lr_test(
@@ -258,14 +245,14 @@ def lr_test(
     null it is asymptotically chi-square with one degree of freedom, so
     the p-value is that distribution's tail beyond the statistic.
     """
-    i_star, j_star = constrained_max_indexes(control, treatment, spec.q, d)
-    stat = lr_statistic_exact(i_star, j_star, spec, control.n, treatment.n)
+    i, j, h = _constrained_max_rows(control.values[None], treatment.values[None], spec.q, d)
+    statistic = float(h[0])
     return LRTestResult(
         d=d,
-        statistic=stat.value,
-        p_value=chi2_sf_1df(stat.value),
-        i_star=i_star,
-        j_star=j_star,
+        statistic=statistic,
+        p_value=chi2_sf_1df(statistic),
+        i_star=int(i[0]),
+        j_star=int(j[0]),
     )
 
 
@@ -325,6 +312,7 @@ def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> A
     return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
 
 
+@finite_endpoints
 def conservative_rows(
     y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, use_exact: bool | None = None
 ) -> IntervalRows:

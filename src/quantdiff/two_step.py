@@ -23,6 +23,7 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    finite_endpoints,
     float_squares,
     outward_index_bounds,
 )
@@ -170,6 +171,7 @@ def step2_indexes(
     return _one_quad(quads, n_c, n_t, spec.q)
 
 
+@finite_endpoints
 def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`two_step_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     n_c, n_t = y_c.shape[1], y_t.shape[1]

@@ -75,20 +75,17 @@ def full_grid_conservative(
 def reachable_pairs(
     y_c: np.ndarray, y_t: np.ndarray, d: float
 ) -> list[tuple[int, int]]:
-    """Every (i, j) count pair attainable by some tau under the shift d."""
+    """Every (i, j) count pair attainable by some tau under the shift d.
+
+    The counts are constant between consecutive breakpoints: (0, 0) below
+    the smallest, then the counts at or below each distinct breakpoint.
+    """
     shifted = np.sort(y_t - d)
-    points = np.unique(np.concatenate([y_c, shifted]))
-    taus = [points[0] - 1.0]
-    taus.extend(0.5 * (points[:-1] + points[1:]))
-    taus.append(points[-1] + 1.0)
-    pairs = []
-    seen = set()
-    for tau in taus:
-        i = int(np.searchsorted(y_c, tau, side="left"))
-        j = int(np.searchsorted(shifted, tau, side="left"))
-        if (i, j) not in seen:
-            seen.add((i, j))
-            pairs.append((i, j))
+    pairs = [(0, 0)]
+    for point in np.unique(np.concatenate([y_c, shifted])):
+        i = int(np.searchsorted(y_c, point, side="right"))
+        j = int(np.searchsorted(shifted, point, side="right"))
+        pairs.append((i, j))
     return pairs
 
 

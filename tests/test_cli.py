@@ -185,6 +185,39 @@ class TestCI:
         r = json.loads(out)
         assert r["method"] == "lr_conservative" and r["lower"] < r["upper"]
 
+    def test_overflowing_endpoints_exit_3_naming_method(self, capsys, tmp_path):
+        # Every value and every square is in range, but a difference, a
+        # midpoint or a sum of squares is not: no endpoint may be printed
+        # as Infinity or NaN.
+        k = np.arange(30)
+        rng = np.random.default_rng(3)
+        arms = {
+            "far": (-1e308 - k * 1e306, 1e308 + k * 1e306),
+            "wide": (rng.uniform(0, 9e154, 20), rng.uniform(0, 9e154, 20)),
+        }
+        paths = {}
+        for name, values in arms.items():
+            paths[name] = []
+            for arm, arr in zip("ct", values):
+                p = tmp_path / f"{name}_{arm}.csv"
+                p.write_text("\n".join(map(repr, arr.tolist())) + "\n")
+                paths[name].append(str(p))
+        cases = [
+            ("far", "lr_conservative", "[inf, inf]"),
+            ("far", "lr_two_step", "[inf, inf]"),
+            ("far", "donner_zou", "[nan, inf]"),
+            ("wide", "price_bonnet", "[-inf, inf]"),
+        ]
+        for name, method, endpoints in cases:
+            c, t = paths[name]
+            argv = ["ci", "--control", c, "--treatment", t, "--q", "0.5", "--methods", method]
+            code, out, err = _run(capsys, argv)
+            assert code == 3 and out == "", (name, method)
+            assert err == (
+                f"error: {method}: interval {endpoints} overflows double precision; "
+                "rescale the samples\n"
+            )
+
     def test_header_skip(self, capsys, tmp_path):
         c = tmp_path / "h.csv"
         c.write_text("value\n" + "\n".join(str(k) for k in range(1, 102)) + "\n")

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from quantdiff import (
     OrderedSample,
@@ -63,22 +65,36 @@ class TestConstrainedMaxIndexes:
         for trial in range(trials):
             n_c = int(rng.integers(2, max_n))
             n_t = int(rng.integers(2, max_n))
-            if trial % 3 == 0:
+            branch = trial % 5
+            if branch == 0:
                 # heavy ties: values on a coarse grid
                 y_c = np.sort(rng.integers(0, 6, size=n_c).astype(float))
                 y_t = np.sort(rng.integers(0, 6, size=n_t).astype(float))
+            elif branch == 1:
+                # decimal values shifted by a decimal d: 0.4 - 0.1 is the
+                # double just above 0.3, so many gaps are one double wide
+                y_c = np.sort(np.round(rng.normal(size=n_c), 1))
+                y_t = np.sort(np.round(rng.normal(size=n_t), 1))
+            elif branch == 2:
+                # each treatment value is the double just above a control value
+                y_c = np.sort(rng.normal(size=n_c))
+                y_t = np.nextafter(y_c, np.inf)
             else:
                 y_c = np.sort(rng.normal(size=n_c))
                 y_t = np.sort(rng.normal(size=n_t))
             q = float(rng.uniform(0.1, 0.9)) if qs is None else qs[trial % len(qs)]
             d = float(rng.choice([0.0, 0.5, -2.0, 10.0, rng.normal()]))
+            if branch == 1:
+                d = float(rng.choice([0.1, 0.2, 0.3, 0.7]))
+            elif branch == 2:
+                d = 0.0
             yield trial, y_c, y_t, q, d
 
     def test_optimal_over_reachable_pairs_randomized(self):
         cases = [
-            *self._random_cases(42, 120, 40, None),
+            *self._random_cases(42, 200, 40, None),
             # larger samples and the extreme quantiles
-            *self._random_cases(43, 60, 300, (0.05, 0.95, 0.5)),
+            *self._random_cases(43, 100, 300, (0.05, 0.95, 0.5)),
         ]
         for trial, y_c, y_t, q, d in cases:
             n_c, n_t = len(y_c), len(y_t)
@@ -107,14 +123,43 @@ class TestConstrainedMaxIndexes:
             y_t.sort(axis=1)
             spec = _spec(q=float(rng.choice([0.05, 0.3, 0.5, 0.95])))
             d = float(rng.choice([0.0, 0.5, -2.0, 10.0, rng.normal()]))
-            i, j = region._constrained_max_rows(y_c, y_t, spec.q, d)
+            i, j, h = region._constrained_max_rows(y_c, y_t, spec.q, d)
             rejects = region.lr_rejections(y_c, y_t, spec, d)
             for r in range(rows):
                 control, treatment = OrderedSample(y_c[r], n_c), OrderedSample(y_t[r], n_t)
                 got = (i[r], j[r])
                 assert got == constrained_max_indexes(control, treatment, spec.q, d), (trial, r)
-                want = lr_test(control, treatment, spec, d).rejects_at(spec.alpha)
-                assert rejects[r] == want, (trial, r)
+                want = lr_test(control, treatment, spec, d)
+                assert (want.i_star, want.j_star) == got, (trial, r)
+                assert float(h[r]).hex() == want.statistic.hex(), (trial, r)
+                assert rejects[r] == want.rejects_at(spec.alpha), (trial, r)
+
+    def test_gap_one_double_wide(self):
+        # Rounded to 0.1 and shifted by 0.7, the treatment value -0.1 lands
+        # on -0.7999999999999999, the double just above the control value
+        # -0.8. Only a tau in that one-double gap reaches (12, 38).
+        rng = np.random.default_rng(32)
+        y_c = np.sort(np.round(rng.normal(0.0, 1.0, 60), 1))
+        y_t = np.sort(np.round(rng.normal(0.3, 1.0, 120), 1))
+        result = lr_test(ingest_sample(y_c), ingest_sample(y_t), _spec(q=0.25), 0.7)
+        assert (result.i_star, result.j_star) == (12, 38)
+        assert result.statistic == pytest.approx(3.52521979474, abs=1e-9)
+        assert not result.rejects_at(0.05)
+        best = best_reachable_score(y_c, y_t, 0.25, 0.7)
+        got = st.binom.logpmf(12, 60, 0.25) + st.binom.logpmf(38, 120, 0.25)
+        assert got == pytest.approx(best, abs=1e-10)
+
+    def test_breakpoints_near_the_float_limit(self):
+        # Halfway between two treatment values near 1.2e308 lies beyond the
+        # float range; the counts at the breakpoints need no such tau.
+        k = np.arange(30.0)
+        control = ingest_sample(-1e308 - k * 1e306)
+        treatment = ingest_sample(1e308 + k * 1e306)
+        result = lr_test(control, treatment, _spec(), 0.0)
+        assert (result.i_star, result.j_star) == (15, 0)
+        # H = 2 (log h(15) - log h(0)) at q = 0.5, n = 30
+        assert result.statistic == pytest.approx(2.0 * math.log(math.comb(30, 15)), abs=1e-9)
+        assert result.statistic == pytest.approx(37.7193871622, abs=1e-9)
 
     def test_extreme_d_pushes_to_boundary(self):
         i, j = constrained_max_indexes(GRID_101, GRID_101, 0.5, 1e6)
@@ -161,6 +206,37 @@ class TestLRTest:
             if lr_test(c, t, spec, 0.0).rejects_at(0.05):
                 rejections += 1
         assert 0.03 <= rejections / reps <= 0.06
+
+
+# Quarter-integers: sums, differences and power-of-two multiples of these
+# are exact in double precision, so equivariance must hold bit for bit.
+# The narrow range makes ties common.
+_dyadic = hst.one_of(hst.integers(-8, 8), hst.integers(-(2**20), 2**20)).map(lambda v: v / 4)
+_arm = hst.lists(_dyadic, min_size=1, max_size=40)
+
+
+class TestLRTestEquivariance:
+    @staticmethod
+    def _outcome(y_c, y_t, q, d):
+        r = lr_test(ingest_sample(y_c), ingest_sample(y_t), _spec(q=q), d)
+        return r.statistic.hex(), r.p_value.hex(), r.i_star, r.j_star
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y_c=_arm,
+        y_t=_arm,
+        d=_dyadic,
+        c=_dyadic,
+        k=hst.integers(-8, 8),
+        q=hst.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+    )
+    def test_shift_and_scale(self, y_c, y_t, d, c, k, q):
+        y_c, y_t = np.array(y_c), np.array(y_t)
+        base = self._outcome(y_c, y_t, q, d)
+        assert self._outcome(y_c + c, y_t + c, q, d) == base
+        assert self._outcome(y_c, y_t + c, q, d + c) == base
+        scale = 2.0**k
+        assert self._outcome(scale * y_c, scale * y_t, q, scale * d) == base
 
 
 class TestConservativeCI:

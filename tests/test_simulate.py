@@ -13,6 +13,7 @@ from quantdiff import (
     TWO_SAMPLE_METHODS,
     Distribution,
     Method,
+    OrderedSample,
     QuantileSpec,
     ScenarioSpec,
     generate_pair,
@@ -24,7 +25,13 @@ from quantdiff import (
 )
 from quantdiff import simulate
 from quantdiff.cli import main as cli_main
-from quantdiff.errors import DomainError, EstimationError, NonFiniteValueError, ValidationError
+from quantdiff.errors import (
+    DomainError,
+    EstimationError,
+    NonFiniteValueError,
+    NumericOverflowError,
+    ValidationError,
+)
 from quantdiff.simulate import compute_ci
 
 GOLDEN = Path(__file__).parent / "data"
@@ -396,22 +403,42 @@ class TestChunking:
         spec = _scenario(dist_c=dist, dist_t=dist, n_c=20, n_t=20, replications=23)
         qspec = QuantileSpec(spec.q, spec.alpha)
         want = dict.fromkeys(TWO_SAMPLE_METHODS, 0)
-        # Sums of two in-range squares may still reach infinity.
-        with np.errstate(over="ignore"):
-            for r in range(spec.replications):
-                control, treatment = generate_pair(spec, r)
-                for method in TWO_SAMPLE_METHODS:
-                    try:
-                        compute_ci(method, control, treatment, qspec)
-                    except EstimationError:
-                        want[method] += 1
-            rows = run_coverage_study(spec, "all")
-            whole = _csv(spec, 1)
-            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (20 + 20) * 5)
-            split = _csv(spec, 1)
+        # A sum of two in-range squares may still pass the float range;
+        # that fails its replication too, so no mean width is infinite.
+        for r in range(spec.replications):
+            control, treatment = generate_pair(spec, r)
+            for method in TWO_SAMPLE_METHODS:
+                try:
+                    compute_ci(method, control, treatment, qspec)
+                except EstimationError:
+                    want[method] += 1
+        rows = run_coverage_study(spec, "all")
+        whole = _csv(spec, 1)
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (20 + 20) * 5)
+        split = _csv(spec, 1)
         assert 0 < want[Method.DONNER_ZOU] < spec.replications
         assert {row.method: row.failures for row in rows} == want
+        assert all(math.isfinite(row.mean_width) for row in rows)
         assert split == whole
+
+    @pytest.mark.parametrize("method", TWO_SAMPLE_METHODS)
+    def test_block_with_an_overflowing_row(self, method):
+        # Row 1's arms sit near -1e308 and +1e308, so its endpoints, or the
+        # treatment midpoint, pass the float range; its neighbours do not.
+        k = np.arange(30)
+        rng = np.random.default_rng(9)
+        y_c = np.sort(rng.normal(size=(3, 30)), axis=1)
+        y_t = np.sort(rng.normal(size=(3, 30)), axis=1)
+        y_c[1], y_t[1] = -1e308 - k[::-1] * 1e306, 1e308 + k * 1e306
+        qspec = QuantileSpec(0.5, 0.05)
+        row_fn = simulate._METHODS[method][1]
+        with pytest.raises(NumericOverflowError):
+            row_fn(y_c, y_t, qspec)
+        rows = simulate._row_by_row(row_fn, y_c, y_t, qspec)
+        assert np.isnan(rows.lower[1]) and np.isnan(rows.upper[1])
+        for r in (0, 2):
+            ci = compute_ci(method, OrderedSample(y_c[r], 30), OrderedSample(y_t[r], 30), qspec)
+            assert (rows.lower[r], rows.upper[r]) == (ci.lower, ci.upper)
 
 
 @pytest.mark.parametrize(
