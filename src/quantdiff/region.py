@@ -32,10 +32,10 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
-    finite_endpoints,
     max_likelihood_index,
+    quiet_overflow,
 )
-from .errors import ConsistencyError, DegenerateRegionError, ValidationError
+from .errors import ConsistencyError, DegenerateRegionError, NumericOverflowError, ValidationError
 from .likelihood import (
     asymptotic_deficit,
     chi2_quantile_1df,
@@ -167,7 +167,13 @@ def _constrained_max_rows(
         raise ValidationError(f"q must lie in (0, 1), got {q!r}")
     if not math.isfinite(d):
         raise ValidationError(f"shift d must be finite, got {d!r}")
-    y_t = y_t - d
+    with np.errstate(over="ignore"):
+        y_t = y_t - d
+    if not np.isfinite(y_t).all():
+        raise NumericOverflowError(
+            f"shifting the treatment values by d = {d!r} overflows double precision; "
+            "rescale the samples"
+        )
     n_c, n_t = y_c.shape[1], y_t.shape[1]
     k_c = max_likelihood_index(q, n_c)
     k_t = max_likelihood_index(q, n_t)
@@ -312,7 +318,7 @@ def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> A
     return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
 
 
-@finite_endpoints
+@quiet_overflow
 def conservative_rows(
     y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, use_exact: bool | None = None
 ) -> IntervalRows:

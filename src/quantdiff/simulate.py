@@ -40,7 +40,6 @@ from .errors import (
     DomainError,
     EstimationError,
     NonFiniteValueError,
-    NumericOverflowError,
     ValidationError,
 )
 from .likelihood import normal_quantile
@@ -315,49 +314,19 @@ def _evaluate_block(
 ) -> tuple[list[IntervalRows | None], np.ndarray]:
     """Each method's intervals for replications start..stop-1, and the LR rejections at true_delta.
 
-    A method whose inference fails on every row gets None. Most failures
-    depend only on the sizes, q and alpha; an overflow depends on the
-    draws, so a block that overflows is evaluated again row by row and the
-    rows that fail on their own get NaN endpoints.
+    A method whose inference fails on every row gets None; such failures
+    depend only on the sizes, q and alpha. An overflow depends on the
+    draws: it leaves a non-finite endpoint in its own row only.
     """
     y_c, y_t = _draw_block(spec, start, stop)
     qspec = QuantileSpec(spec.q, spec.alpha)
     intervals: list[IntervalRows | None] = []
     for method in methods:
-        row_fn = _METHODS[method][1]
         try:
-            intervals.append(row_fn(y_c, y_t, qspec))
-        except NumericOverflowError:
-            intervals.append(_row_by_row(row_fn, y_c, y_t, qspec))
+            intervals.append(_METHODS[method][1](y_c, y_t, qspec))
         except EstimationError:
             intervals.append(None)
     return intervals, lr_rejections(y_c, y_t, qspec, spec.true_delta)
-
-
-def _row_by_row(
-    row_fn, y_c: np.ndarray, y_t: np.ndarray, qspec: QuantileSpec
-) -> IntervalRows | None:
-    """row_fn on each row pair alone: NaN endpoints where it fails, None if it fails on all."""
-    each = []
-    for r in range(len(y_c)):
-        try:
-            each.append(row_fn(y_c[r : r + 1], y_t[r : r + 1], qspec))
-        except EstimationError:
-            each.append(None)
-    ok = [rows for rows in each if rows is not None]
-    if not ok:
-        return None
-    nan, unset = np.full(1, np.nan), np.zeros(1, dtype=bool)
-    return IntervalRows(
-        method=ok[0].method,
-        alpha=ok[0].alpha,
-        lower=np.concatenate([nan if rows is None else rows.lower for rows in each]),
-        upper=np.concatenate([nan if rows is None else rows.upper for rows in each]),
-        flags={
-            name: np.concatenate([unset if rows is None else rows.flags[name] for rows in each])
-            for name in ok[0].flags
-        },
-    )
 
 
 def _block_records(
@@ -365,7 +334,7 @@ def _block_records(
 ) -> tuple[list[tuple[int, int, list[float]]], int]:
     """Per method, its failure count, containment count and the widths of
     the rows that did not fail, in replication order; and the LR rejection
-    count."""
+    count. A row fails where either endpoint is not finite."""
     intervals, rejections = _evaluate_block(spec, methods, start, stop)
     d = spec.true_delta
     records = []
@@ -373,9 +342,10 @@ def _block_records(
         if rows is None:
             records.append((stop - start, 0, []))
         else:
-            scored = ~np.isnan(rows.lower)
-            contained = int(((rows.lower <= d) & (d <= rows.upper)).sum())
-            widths = (rows.upper - rows.lower)[scored].tolist()
+            scored = np.isfinite(rows.lower) & np.isfinite(rows.upper)
+            lower, upper = rows.lower[scored], rows.upper[scored]
+            contained = int(((lower <= d) & (d <= upper)).sum())
+            widths = (upper - lower).tolist()
             records.append((stop - start - len(widths), contained, widths))
     return records, int(rejections.sum())
 

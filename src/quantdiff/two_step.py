@@ -23,9 +23,9 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
-    finite_endpoints,
     float_squares,
     outward_index_bounds,
+    quiet_overflow,
 )
 from .errors import DomainError, InsufficientSampleError
 from .likelihood import normal_quantile
@@ -171,7 +171,7 @@ def step2_indexes(
     return _one_quad(quads, n_c, n_t, spec.q)
 
 
-@finite_endpoints
+@quiet_overflow
 def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`two_step_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     n_c, n_t = y_c.shape[1], y_t.shape[1]

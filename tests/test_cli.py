@@ -175,11 +175,13 @@ class TestCI:
         argv = ["ci", "--control", paths[0], "--treatment", paths[1], "--q", "0.5"]
         code, out, err = _run(capsys, argv)
         assert code == 3 and out == ""
-        assert err.startswith("error: price_bonnet: squaring ")
-        assert "overflows double precision" in err
+        assert err == (
+            "error: price_bonnet: interval [-inf, inf] overflows double precision; "
+            "rescale the samples\n"
+        )
         for method in ("price_bonnet", "donner_zou"):
             code, _, err = _run(capsys, argv + ["--methods", method])
-            assert code == 3 and err.startswith(f"error: {method}: ")
+            assert code == 3 and err.startswith(f"error: {method}: interval [")
         code, out, err = _run(capsys, argv + ["--methods", "lr_conservative"])
         assert code == 0 and err == ""
         r = json.loads(out)
@@ -296,6 +298,22 @@ class TestTest:
              "--d", format(ci.upper + 2.0, ".17g")],
         )
         assert json.loads(out)["reject_at_alpha"] is True
+
+    def test_shift_past_the_float_range_exits_3(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        paths = []
+        arms = {"c.csv": rng.uniform(-1, 1, 30), "t.csv": rng.uniform(1e308, 1.7e308, 60)}
+        for name, values in arms.items():
+            p = tmp_path / name
+            p.write_text("\n".join(map(repr, values.tolist())) + "\n")
+            paths.append(str(p))
+        argv = ["test", "--control", paths[0], "--treatment", paths[1], "--q", "0.5", "--d=-1e308"]
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "error: shifting the treatment values by d = -1e+308 overflows double precision; "
+            "rescale the samples\n"
+        )
 
     def test_consistency_error_exits_4(self, capsys, monkeypatch, sample_files):
         def broken(*args):

@@ -20,7 +20,7 @@ from quantdiff import (
     write_acceptance_grid_csv,
 )
 from quantdiff import region
-from quantdiff.errors import DegenerateRegionError, ValidationError
+from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
 
 from oracles import best_reachable_score, full_grid_conservative, reachable_pairs
 
@@ -160,6 +160,15 @@ class TestConstrainedMaxIndexes:
         # H = 2 (log h(15) - log h(0)) at q = 0.5, n = 30
         assert result.statistic == pytest.approx(2.0 * math.log(math.comb(30, 15)), abs=1e-9)
         assert result.statistic == pytest.approx(37.7193871622, abs=1e-9)
+
+    def test_shift_past_the_float_range_raises(self):
+        # Shifted by d, the treatment values pass the float range; as
+        # infinities they would tie and hide reachable pairs.
+        rng = np.random.default_rng(0)
+        control = ingest_sample(rng.uniform(-1, 1, 30))
+        treatment = ingest_sample(rng.uniform(1e308, 1.7e308, 60))
+        with pytest.raises(NumericOverflowError, match=r"by d = -1e\+308 overflows"):
+            lr_test(control, treatment, _spec(), -1e308)
 
     def test_extreme_d_pushes_to_boundary(self):
         i, j = constrained_max_indexes(GRID_101, GRID_101, 0.5, 1e6)

@@ -421,6 +421,24 @@ class TestChunking:
         assert all(math.isfinite(row.mean_width) for row in rows)
         assert split == whole
 
+    def test_overflowing_rows_add_no_containment_or_width(self):
+        # Price-Bonett's sum of two squares passes the float range in 20 of
+        # 23 replications, giving [-inf, inf], which would contain every d.
+        # Those rows are failures; coverage and mean width come from the rest.
+        dist = Distribution.uniform(0.0, 9e154)
+        spec = _scenario(dist_c=dist, dist_t=dist, n_c=20, n_t=20, replications=23)
+        qspec = QuantileSpec(spec.q, spec.alpha)
+        (row,) = run_coverage_study(spec, "price_bonnet")
+        cis = []
+        for r in range(spec.replications):
+            try:
+                cis.append(compute_ci(Method.PRICE_BONNET, *generate_pair(spec, r), qspec))
+            except NumericOverflowError:
+                pass
+        assert row.failures == spec.replications - len(cis) == 20
+        assert row.coverage == sum(ci.contains(spec.true_delta) for ci in cis) / len(cis)
+        assert row.mean_width == sum(ci.width for ci in cis) / len(cis)
+
     @pytest.mark.parametrize("method", TWO_SAMPLE_METHODS)
     def test_block_with_an_overflowing_row(self, method):
         # Row 1's arms sit near -1e308 and +1e308, so its endpoints, or the
@@ -431,14 +449,15 @@ class TestChunking:
         y_t = np.sort(rng.normal(size=(3, 30)), axis=1)
         y_c[1], y_t[1] = -1e308 - k[::-1] * 1e306, 1e308 + k * 1e306
         qspec = QuantileSpec(0.5, 0.05)
-        row_fn = simulate._METHODS[method][1]
-        with pytest.raises(NumericOverflowError):
-            row_fn(y_c, y_t, qspec)
-        rows = simulate._row_by_row(row_fn, y_c, y_t, qspec)
-        assert np.isnan(rows.lower[1]) and np.isnan(rows.upper[1])
+        rows = simulate._METHODS[method][1](y_c, y_t, qspec)
+        assert not (np.isfinite(rows.lower[1]) and np.isfinite(rows.upper[1]))
+        pairs = [(OrderedSample(y_c[r], 30), OrderedSample(y_t[r], 30)) for r in range(3)]
         for r in (0, 2):
-            ci = compute_ci(method, OrderedSample(y_c[r], 30), OrderedSample(y_t[r], 30), qspec)
-            assert (rows.lower[r], rows.upper[r]) == (ci.lower, ci.upper)
+            ci = compute_ci(method, *pairs[r], qspec)
+            assert rows.lower[r].hex() == ci.lower.hex()
+            assert rows.upper[r].hex() == ci.upper.hex()
+        with pytest.raises(NumericOverflowError, match="overflows double precision"):
+            compute_ci(method, *pairs[1], qspec)
 
 
 @pytest.mark.parametrize(

@@ -202,6 +202,18 @@ class TestTwoStepCI:
         assert "slope_fallback" in ci.flags
         assert ci.lower == ci.upper == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e-320])
+    def test_squared_slope_ratio_past_the_float_range(self, scale):
+        # The squared slope ratio is about 1e200 at scale 1e-100 and past
+        # the float range from 1e-160 on; either way the step-2 band
+        # collapses and step 1 is kept, with the same interval.
+        y = np.random.default_rng(0).normal(size=200)
+        control = ingest_sample(y)
+        want = two_step_ci(control, ingest_sample(y * 1e-100), _spec())
+        got = two_step_ci(control, ingest_sample(y * scale), _spec())
+        assert want.flags == got.flags == {"slope_fallback"}
+        assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
+
     def test_insufficient_sample_propagates(self):
         one = ingest_sample([1.0])
         with pytest.raises(InsufficientSampleError):
