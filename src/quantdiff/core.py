@@ -63,6 +63,12 @@ class QuantileSpec:
     def __post_init__(self) -> None:
         _check_probability(self.q, "q")
         _check_probability(self.alpha, "alpha")
+        # The critical value is the normal quantile at 1 - alpha/2, which
+        # must stay below 1.
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise DomainError(
+                f"alpha={self.alpha!r} is too small: 1 - alpha/2 rounds to 1 in double precision"
+            )
 
 
 @dataclass(frozen=True, eq=False)

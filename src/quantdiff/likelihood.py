@@ -1,7 +1,9 @@
 """Binomial quantile likelihood, the LR statistic, and reference quantiles.
 
-Everything here is scalar math, except that ``asymptotic_deficit`` and
-``exact_statistic`` also take arrays. Likelihood values are handled in
+The statistic is a sum of two per-sample deficits, and ``deficits`` is
+the one copy of the exact deficit; it and ``asymptotic_deficit`` take a
+count or an array of counts, and ``exact_statistic`` takes a sum of
+deficits or an array of them. Likelihood values are handled in
 natural-log space throughout: binomial coefficients overflow doubles for
 sample sizes in the low thousands, while log-space differences stay
 well-conditioned even at n = 1e8.
@@ -77,17 +79,24 @@ class LRStatistic:
             raise ConsistencyError(f"LR statistic must be >= 0, got {self.value}")
 
 
-def exact_statistic(log_h, q: float, n_c: int, n_t: int):
-    """Exact H from log h(i|q,n_c) + log h(j|q,n_t), a float or an array.
+def deficits(counts, q: float, n: int):
+    """Deficit g(k) = -2 (log h(k|q,n) - log h(mode|q,n)) of each count, zero at the mode.
 
-    H is -2 times the log of the ratio to the unconstrained maximum, at
-    the counts floor(q*(n+1)). Rounding noise at or below zero becomes
-    +0.0; anything more negative than the slack raises, since it means a
-    broken invariant.
+    The mode is floor(q*(n+1)). ``counts`` is a count or an integer array
+    of counts; each distinct count's log-pmf is computed once.
     """
-    peak_c = log_binomial_pmf(max_likelihood_index(q, n_c), q, n_c)
-    peak_t = log_binomial_pmf(max_likelihood_index(q, n_t), q, n_t)
-    value = -2.0 * (log_h - peak_c - peak_t)
+    peak = log_binomial_pmf(max_likelihood_index(q, n), q, n)
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    values = np.array([log_binomial_pmf(k, q, n) for k in distinct.tolist()])
+    return -2.0 * (values[inverse] - peak)
+
+
+def exact_statistic(value):
+    """Exact H from a sum of deficits g_c(i) + g_t(j), a float or an array.
+
+    Rounding noise at or below zero becomes +0.0; anything more negative
+    than the slack raises, since it means a broken invariant.
+    """
     worst = np.min(value)
     if worst < -_LR_SLACK:
         raise ConsistencyError(
@@ -106,8 +115,7 @@ def lr_statistic_exact(
     floor(q*(n+1)) for each sample. Zero iff (i, j) is that maximizer.
     """
     q = spec.q
-    log_h = log_binomial_pmf(i, q, n_c) + log_binomial_pmf(j, q, n_t)
-    value = float(exact_statistic(log_h, q, n_c, n_t))
+    value = float(exact_statistic(deficits(i, q, n_c) + deficits(j, q, n_t)))
     return LRStatistic(value=value, i_star=i, j_star=j, exact=True)
 
 

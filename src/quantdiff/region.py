@@ -40,8 +40,8 @@ from .likelihood import (
     asymptotic_deficit,
     chi2_quantile_1df,
     chi2_sf_1df,
+    deficits,
     exact_statistic,
-    log_binomial_pmf,
 )
 
 
@@ -105,13 +105,6 @@ class AcceptanceGrid:
         ]
 
 
-def _log_pmfs(counts: np.ndarray, q: float, n: int) -> np.ndarray:
-    """log_binomial_pmf at each count, computed once per distinct count."""
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    values = np.array([log_binomial_pmf(k, q, n) for k in distinct.tolist()])
-    return values[inverse]
-
-
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k, position) for each position start[k] .. start[k] + count[k] - 1, in order."""
     k = np.repeat(np.arange(count.size), count)
@@ -156,12 +149,12 @@ def _constrained_max_rows(
 
     The one copy of the candidate rule. The counts are constant between
     consecutive breakpoints (control values and shifted treatment values),
-    so a row's candidates are count pairs, in ascending tau: the counts
-    below its first breakpoint inside the closed span between the two
-    optima, then the counts at or below each distinct breakpoint in the
-    span. That is one pair per gap inside the span plus the gap just
-    beyond each edge; the first maximum wins. H is the exact statistic of
-    the winning pair.
+    so a row's candidates are count pairs: the counts below the closed
+    span between the two optima, then the counts at or below each
+    breakpoint in the span. The score of a pair is its deficit sum
+    g_c(i) + g_t(j); the smallest score wins, ties going to the smallest
+    (i, j), which is the first maximum in ascending tau since both counts
+    grow with tau. H is the winning score.
     """
     if not (0.0 < q < 1.0):
         raise ValidationError(f"q must lie in (0, 1), got {q!r}")
@@ -181,7 +174,7 @@ def _constrained_max_rows(
     lo_t, hi_t = _optimum(y_t, k_t)
     i_star = np.full(len(y_c), k_c)
     j_star = np.full(len(y_c), k_t)
-    log_h = np.full(len(y_c), log_binomial_pmf(k_c, q, n_c) + log_binomial_pmf(k_t, q, n_t))
+    h = np.zeros(len(y_c))
     # Where the optima overlap, the constraint binds nowhere and H = 0.
     bound = np.flatnonzero(~(np.maximum(lo_c, lo_t) < np.minimum(hi_c, hi_t)))
     if bound.size:
@@ -199,27 +192,15 @@ def _constrained_max_rows(
             values.append(y[bound[k], col])
             owner.append(k)
         points, row = np.concatenate(values), np.concatenate(owner)
-        order = np.lexsort((points, row))
-        points, row = points[order], row[order]
-        distinct = np.ones(points.size, dtype=bool)
-        distinct[1:] = (row[1:] != row[:-1]) | (points[1:] != points[:-1])
-        points, row = points[distinct], row[distinct]
-        i = _searchsorted_rows(y_c, bound[row], points, "right")
-        j = _searchsorted_rows(y_t, bound[row], points, "right")
-        # Below a row's first breakpoint in the span the counts are those
-        # below span_lo: the first candidate of each row.
         rows = np.arange(bound.size)
-        first = np.searchsorted(row, rows)
-        i = np.insert(i, first, below[0])
-        j = np.insert(j, first, below[1])
-        row = np.insert(row, first, rows)
-        first += rows
-        score = _log_pmfs(i, q, n_c) + _log_pmfs(j, q, n_t)
-        # Ties in likelihood resolve to each row's first maximum.
-        hits = np.flatnonzero(score == np.maximum.reduceat(score, first)[row])
-        best = hits[np.searchsorted(row[hits], rows)]
-        i_star[bound], j_star[bound], log_h[bound] = i[best], j[best], score[best]
-    return i_star, j_star, exact_statistic(log_h, q, n_c, n_t)
+        i = np.concatenate([below[0], _searchsorted_rows(y_c, bound[row], points, "right")])
+        j = np.concatenate([below[1], _searchsorted_rows(y_t, bound[row], points, "right")])
+        row = np.concatenate([rows, row])
+        score = deficits(i, q, n_c) + deficits(j, q, n_t)
+        order = np.lexsort((j, i, score, row))
+        best = order[np.searchsorted(row[order], rows)]
+        i_star[bound], j_star[bound], h[bound] = i[best], j[best], score[best]
+    return i_star, j_star, exact_statistic(h)
 
 
 def constrained_max_indexes(
@@ -266,27 +247,21 @@ def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[i
     """Origin lo and deficits g(lo..hi) of a window holding every accepted count.
 
     Starts from the bounding box of the asymptotic ellipse plus one index
-    of slack. Under the exact statistic the deficit tails decay more
-    slowly, so the edges move outward until the edge count itself is
+    of slack. The edges move outward until the edge count itself is
     rejected; unimodality of the deficit makes that a proof that nothing
-    beyond the edge is accepted.
+    beyond the edge is accepted. Only the exact deficit, whose tails decay
+    more slowly, ever moves them.
     """
     center = n * q
     halfwidth = math.sqrt(threshold * n * q * (1.0 - q)) + 1.0
     lo = max(math.ceil(center - halfwidth), 0)
     hi = min(math.floor(center + halfwidth), n)
-    if not exact:
-        return lo, asymptotic_deficit(np.arange(lo, hi + 1), q, n)
-    peak = log_binomial_pmf(max_likelihood_index(q, n), q, n)
-
-    def g(i: int) -> float:
-        return -2.0 * (log_binomial_pmf(i, q, n) - peak)
-
-    while lo > 0 and g(lo) < threshold:
+    g = deficits if exact else asymptotic_deficit
+    while lo > 0 and g(lo, q, n) < threshold:
         lo -= 1
-    while hi < n and g(hi) < threshold:
+    while hi < n and g(hi, q, n) < threshold:
         hi += 1
-    return lo, np.maximum(-2.0 * (_log_pmfs(np.arange(lo, hi + 1), q, n) - peak), 0.0)
+    return lo, np.maximum(g(np.arange(lo, hi + 1), q, n), 0.0)
 
 
 @functools.lru_cache(maxsize=128)

@@ -380,27 +380,26 @@ def run_coverage_study(
                 pool.map(_block_records, repeat(spec), repeat(method_tuple), starts, stops)
             )
 
-    reject_count = 0
-    contained = [0] * len(method_tuple)
-    width_sum = [0.0] * len(method_tuple)
-    failures = [0] * len(method_tuple)
-    for records, rejected in results:
-        reject_count += rejected
-        for pos, (failed, inside, widths) in enumerate(records):
-            failures[pos] += failed
-            contained[pos] += inside
-            # A sequential sum in replication order, so the mean width does
-            # not depend on how the replications were split into blocks.
-            for width in widths:
-                width_sum[pos] += width
-
-    reject_rate = reject_count / spec.replications
+    reject_rate = sum(rejected for _, rejected in results) / spec.replications
     rows = []
     for pos, method in enumerate(method_tuple):
-        successes = spec.replications - failures[pos]
+        failures = sum(records[pos][0] for records, _ in results)
+        contained = sum(records[pos][1] for records, _ in results)
+        widths = [width for records, _ in results for width in records[pos][2]]
+        # A sequential sum in replication order, so the mean width does not
+        # depend on how the replications were split into blocks. Widths
+        # large enough for the sum to pass the float range are scaled down
+        # by a power of two first, which is exact for them; otherwise the
+        # scale is 1.
+        top = math.frexp(max(widths, default=0.0))[1]
+        scale = 2.0 ** -max(top + spec.replications.bit_length() - 1024, 0)
+        width_sum = 0.0
+        for width in widths:
+            width_sum += width * scale
+        successes = spec.replications - failures
         if successes > 0:
-            coverage = contained[pos] / successes
-            mean_width = width_sum[pos] / successes
+            coverage = contained / successes
+            mean_width = width_sum / successes / scale
             stderr = math.sqrt(coverage * (1.0 - coverage) / successes)
         else:
             coverage = math.nan
@@ -413,7 +412,7 @@ def run_coverage_study(
                 mean_width=mean_width,
                 reject_rate_at_true_d=reject_rate,
                 mc_stderr=stderr,
-                failures=failures[pos],
+                failures=failures,
             )
         )
     return rows
