@@ -143,6 +143,21 @@ class TestCI:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["ci", "simulate"])
+    def test_alpha_too_small_for_its_quantile_exits_2(self, capsys, sample_files, command):
+        # 1 - alpha/2 rounds to 1.0, so the normal quantile behind the
+        # critical value would get p = 1.0, an argument nobody passed.
+        c, t = sample_files
+        args = {
+            "ci": ["ci", "--control", c, "--treatment", t],
+            "simulate": ["simulate", "--replications", "2"],
+        }[command]
+        code, out, err = _run(capsys, [*args, "--q", "0.5", "--alpha", "1e-300"])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: alpha=1e-300 is too small: 1 - alpha/2 rounds to 1 in double precision\n"
+        )
+
     def test_malformed_line_names_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0\noops\n3.0\n")

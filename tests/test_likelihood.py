@@ -18,6 +18,7 @@ from quantdiff import (
     normal_quantile,
 )
 from quantdiff.errors import ConsistencyError, DomainError, IndexOutOfRangeError
+from quantdiff.likelihood import deficits
 
 from oracles import exact_binom_pmf, exact_log_binom_pmf, mode_index
 
@@ -52,6 +53,15 @@ class TestLogBinomialPmf:
             got = log_binomial_pmf(i, q, n)
             want = exact_log_binom_pmf(i, n, Fraction(q))
             assert got == pytest.approx(want, abs=1e-10)
+        # The deficits, on scalars and on an array with repeated counts.
+        mode = mode_index(q, n)
+        peak = exact_log_binom_pmf(mode, n, Fraction(q))
+        counts = list(range(0, n + 1, max(1, n // 7))) + [mode, n, 0]
+        want = [-2.0 * (exact_log_binom_pmf(k, n, Fraction(q)) - peak) for k in counts]
+        assert deficits(np.array(counts), q, n) == pytest.approx(want, abs=1e-9)
+        for k, w in zip(counts, want):
+            assert deficits(k, q, n) == pytest.approx(w, abs=1e-9)
+        assert deficits(mode, q, n) == 0.0
 
     def test_against_scipy(self):
         rng = np.random.default_rng(11)

@@ -21,6 +21,7 @@ from quantdiff import (
 )
 from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
+from quantdiff.likelihood import deficits
 
 from oracles import best_reachable_score, full_grid_conservative, reachable_pairs
 
@@ -385,6 +386,35 @@ class TestAcceptanceGrid:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n_c=hst.integers(5, 300),
+        n_t=hst.integers(5, 300),
+        q=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+        rounded=hst.booleans(),
+        d=hst.one_of(hst.floats(-0.3, 0.3), hst.floats(-3.0, 3.0)),
+    )
+    def test_lr_test_reads_its_grid_cell(self, seed, n_c, n_t, q, rounded, d):
+        # The statistic at (i*, j*) is g_c(i*) + g_t(j*), from the same
+        # per-sample deficits the grid holds, so the two agree bit for bit.
+        rng = np.random.default_rng(seed)
+        y_c, y_t = rng.normal(size=n_c), rng.normal(size=n_t)
+        if rounded:
+            y_c, y_t, d = np.round(y_c, 1), np.round(y_t, 1), round(d, 1)
+        spec = _spec(q=q)
+        grid = acceptance_grid(n_c, n_t, spec, use_exact=True)
+        r = lr_test(ingest_sample(y_c), ingest_sample(y_t), spec, d)
+        i, j = r.i_star - grid.i_lo, r.j_star - grid.j_lo
+        if not (0 <= i < grid.g_c.size and 0 <= j < grid.g_t.size):
+            assert r.rejects_at(spec.alpha)
+            return
+        if deficits(r.i_star, q, n_c) < 0.0 or deficits(r.j_star, q, n_t) < 0.0:
+            return  # the grid clamps a deficit that rounds below zero
+        h = grid.g_c[i] + grid.g_t[j]
+        assert r.statistic == h
+        assert r.rejects_at(spec.alpha) == (not h < grid.threshold)
 
     def test_csv_export(self):
         grid = acceptance_grid(3, 3, _spec(), use_exact=True)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -425,19 +426,37 @@ class TestChunking:
         # Price-Bonett's sum of two squares passes the float range in 20 of
         # 23 replications, giving [-inf, inf], which would contain every d.
         # Those rows are failures; coverage and mean width come from the rest.
-        dist = Distribution.uniform(0.0, 9e154)
-        spec = _scenario(dist_c=dist, dist_t=dist, n_c=20, n_t=20, replications=23)
-        qspec = QuantileSpec(spec.q, spec.alpha)
-        (row,) = run_coverage_study(spec, "price_bonnet")
-        cis = []
-        for r in range(spec.replications):
-            try:
-                cis.append(compute_ci(Method.PRICE_BONNET, *generate_pair(spec, r), qspec))
-            except NumericOverflowError:
-                pass
-        assert row.failures == spec.replications - len(cis) == 20
-        assert row.coverage == sum(ci.contains(spec.true_delta) for ci in cis) / len(cis)
-        assert row.mean_width == sum(ci.width for ci in cis) / len(cis)
+        # On the wide uniform arms every LR width is finite, but their sum
+        # passes the float range; the mean width must stay finite.
+        narrow = Distribution.uniform(0.0, 9e154)
+        wide = Distribution.uniform(-8.5e307, 8.5e307)
+        cases = [
+            (narrow, 23, 7, Method.PRICE_BONNET, 20),
+            (wide, 50, 1, Method.LR_CONSERVATIVE, 0),
+            (wide, 50, 1, Method.LR_TWO_STEP, 0),
+        ]
+        for dist, replications, seed, method, failures in cases:
+            spec = _scenario(
+                dist_c=dist, dist_t=dist, n_c=20, n_t=20,
+                replications=replications, master_seed=seed,
+            )
+            qspec = QuantileSpec(spec.q, spec.alpha)
+            (row,) = run_coverage_study(spec, [method])
+            cis = []
+            for r in range(spec.replications):
+                try:
+                    cis.append(compute_ci(method, *generate_pair(spec, r), qspec))
+                except NumericOverflowError:
+                    pass
+            assert row.failures == spec.replications - len(cis) == failures
+            assert row.coverage == sum(ci.contains(spec.true_delta) for ci in cis) / len(cis)
+            # Scaling by a power of two is exact, so this is the plain
+            # sequential mean wherever that sum is finite.
+            scaled = sum(ci.width * 2.0**-6 for ci in cis) / len(cis)
+            assert math.isfinite(row.mean_width)
+            assert row.mean_width == scaled * 2.0**6
+            exact = sum(Fraction(ci.width) for ci in cis) / len(cis)
+            assert row.mean_width == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("method", TWO_SAMPLE_METHODS)
     def test_block_with_an_overflowing_row(self, method):
