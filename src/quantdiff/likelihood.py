@@ -4,9 +4,16 @@ The statistic is a sum of two per-sample deficits, and ``deficits`` is
 the one copy of the exact deficit; it and ``asymptotic_deficit`` take a
 count or an array of counts, and ``exact_statistic`` takes a sum of
 deficits or an array of them. Likelihood values are handled in
-natural-log space throughout: binomial coefficients overflow doubles for
-sample sizes in the low thousands, while log-space differences stay
-well-conditioned even at n = 1e8.
+natural-log space throughout, since binomial coefficients overflow
+doubles for sample sizes in the low thousands.
+
+Every log-pmf comes from one array kernel in Loader's saddle-point form
+(C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+2000; R's ``dbinom``). It splits log p(k) into Stirling-series errors,
+which are small, and the deviance terms bd0, which a series takes where
+k is near its mean, so no term is a difference of large logs. A deficit
+is then within about 1e-11 of a 50-digit reference at n = 1e8, where
+differences of ``lgamma`` values were off by up to 1e-6.
 
 The normal inverse CDF is a rational approximation (Acklam's coefficients)
 polished with one Halley step, giving errors near machine precision with
@@ -52,13 +59,92 @@ def log_binomial_pmf(i: int, q: float, n: int) -> float:
         raise DomainError(f"n must be >= 1, got {n}")
     if i < 0 or i > n:
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n}]")
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(n - i + 1)
-        + i * math.log(q)
-        + (n - i) * math.log1p(-q)
-    )
+    return float(_log_pmf(np.array([i]), q, n)[0])
+
+
+# stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k / e)**k) for k = 0..15; the
+# entry at 0 is a placeholder, as k = 0 never reaches the general form.
+_STIRLERR = np.array(
+    [
+        0.0,
+        0.08106146679532726,
+        0.0413406959554093,
+        0.02767792568499834,
+        0.020790672103765093,
+        0.016644691189821193,
+        0.013876128823070748,
+        0.01189670994589177,
+        0.010411265261972096,
+        0.009255462182712733,
+        0.00833056343336287,
+        0.007573675487951841,
+        0.00694284010720953,
+        0.006408994188004207,
+        0.0059513701127588475,
+        0.005554733551962801,
+    ]
+)
+# Coefficients of the Stirling series 1/(12k) - 1/(360k^3) + 1/(1260k^5) - ...
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+# Coefficients 1/(2j+1) of the bd0 series for j = 8 down to 1, for Horner's rule.
+_BD0_SERIES = tuple(1.0 / (2 * j + 1) for j in range(8, 0, -1))
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """stirlerr(k) for a float array of counts k >= 1: the table up to 15, the series above."""
+    kk = k * k
+    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+    small = k <= 15
+    out[small] = _STIRLERR[k[small].astype(np.intp)]
+    return out
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """bd0(x, m) = x log(x / m) + m - x for x, m > 0, the deviance of x from mean m.
+
+    Where |x - m| < 0.1 (x + m), the closed form cancels; there it is the
+    series (x - m) v + 2 x sum_j v**(2j+1) / (2j+1) with v = (x - m) / (x + m),
+    whose eight terms reach double precision since v**2 < 0.01.
+    """
+    d = x - m
+    v = d / (x + m)
+    near = np.abs(v) < 0.1
+    out = np.empty_like(d)
+    far = ~near
+    out[far] = x[far] * np.log(x[far] / m[far]) - d[far]
+    x, d, v = x[near], d[near], v[near]
+    u = v * v
+    poly = _BD0_SERIES[0]
+    for c in _BD0_SERIES[1:]:
+        poly = poly * u + c
+    out[near] = d * v + 2.0 * x * v * u * poly
+    return out
+
+
+def _log_pmf(counts: np.ndarray, q: float, n: int) -> np.ndarray:
+    """log p(k) of Binomial(n, q) for each count of an integer array, in Loader's form.
+
+    Inside (0, n) it is stirlerr(n) - (stirlerr(k) + stirlerr(n-k))
+    - (bd0(k, nq) + bd0(n-k, n(1-q))) + log(n / (2 pi k (n-k))) / 2; the
+    paired terms are sums, so q = 0.5 gives the same value at k and n-k
+    to the bit. k = 0 and k = n take the closed forms.
+    """
+    k = np.asarray(counts, dtype=float)
+    out = np.where(k == 0, n * math.log1p(-q), n * math.log(q))
+    inner = np.flatnonzero((k > 0) & (k < n))
+    if inner.size:
+        k = k[inner]
+        m = k.size
+        r = n - k
+        st = _stirlerr(np.concatenate((k, r, [n])))
+        dev = _bd0(np.concatenate((k, r)), np.repeat((n * q, n * (1.0 - q)), m))
+        out[inner] = (
+            st[-1]
+            - (st[:m] + st[m:-1])
+            - (dev[:m] + dev[m:])
+            + 0.5 * np.log(n / (2.0 * math.pi * (k * r)))
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,12 +169,13 @@ def deficits(counts, q: float, n: int):
     """Deficit g(k) = -2 (log h(k|q,n) - log h(mode|q,n)) of each count, zero at the mode.
 
     The mode is floor(q*(n+1)). ``counts`` is a count or an integer array
-    of counts; each distinct count's log-pmf is computed once.
+    of counts; the kernel runs once per distinct count. A deficit is
+    never negative: one that rounds below zero, at a count whose pmf ties
+    the mode's, is +0.0.
     """
-    peak = log_binomial_pmf(max_likelihood_index(q, n), q, n)
     distinct, inverse = np.unique(counts, return_inverse=True)
-    values = np.array([log_binomial_pmf(k, q, n) for k in distinct.tolist()])
-    return -2.0 * (values[inverse] - peak)
+    values = _log_pmf(np.append(distinct, max_likelihood_index(q, n)), q, n)
+    return exact_statistic(-2.0 * (values[:-1] - values[-1])[inverse])
 
 
 def exact_statistic(value):

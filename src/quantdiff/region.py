@@ -180,24 +180,33 @@ def _constrained_max_rows(
     if bound.size:
         span_lo = np.minimum(lo_c, lo_t)[bound]
         span_hi = np.maximum(hi_c, hi_t)[bound]
-        # Each bound row's breakpoints inside the span. Finite span edges
-        # are themselves breakpoints, so no row is empty. Rows are numbered
-        # 0..B-1 from here on; bound[k] is row k's row in the blocks.
+        # Each bound row's distinct breakpoints inside the span; equal
+        # breakpoints give equal counts, so a tie block is one candidate.
+        # Finite span edges are themselves breakpoints, so no row is empty.
+        # Rows are numbered 0..B-1 from here on; bound[k] is row k's row in
+        # the blocks.
         below, values, owner = [], [], []
         for y in (y_c, y_t):
             start = _searchsorted_rows(y, bound, span_lo, "left")
             stop = _searchsorted_rows(y, bound, span_hi, "right")
             k, col = _ranges(start, stop - start)
+            value = y[bound[k], col]
+            new = np.ones(k.size, dtype=bool)
+            new[1:] = (value[1:] != value[:-1]) | (k[1:] != k[:-1])
             below.append(start)
-            values.append(y[bound[k], col])
-            owner.append(k)
+            values.append(value[new])
+            owner.append(k[new])
         points, row = np.concatenate(values), np.concatenate(owner)
         rows = np.arange(bound.size)
         i = np.concatenate([below[0], _searchsorted_rows(y_c, bound[row], points, "right")])
         j = np.concatenate([below[1], _searchsorted_rows(y_t, bound[row], points, "right")])
         row = np.concatenate([rows, row])
         score = deficits(i, q, n_c) + deficits(j, q, n_t)
-        order = np.lexsort((j, i, score, row))
+        # Each row's smallest score, then the smallest (i, j) reaching it.
+        low = np.full(bound.size, np.inf)
+        np.minimum.at(low, row, score)
+        tied = np.flatnonzero(score == low[row])
+        order = tied[np.lexsort((j[tied], i[tied], row[tied]))]
         best = order[np.searchsorted(row[order], rows)]
         i_star[bound], j_star[bound], h[bound] = i[best], j[best], score[best]
     return i_star, j_star, exact_statistic(h)
@@ -257,11 +266,14 @@ def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[i
     lo = max(math.ceil(center - halfwidth), 0)
     hi = min(math.floor(center + halfwidth), n)
     g = deficits if exact else asymptotic_deficit
-    while lo > 0 and g(lo, q, n) < threshold:
-        lo -= 1
-    while hi < n and g(hi, q, n) < threshold:
-        hi += 1
-    return lo, np.maximum(g(np.arange(lo, hi + 1), q, n), 0.0)
+    while True:
+        window = g(np.arange(lo, hi + 1), q, n)
+        if lo > 0 and window[0] < threshold:
+            lo -= 1
+        elif hi < n and window[-1] < threshold:
+            hi += 1
+        else:
+            return lo, window
 
 
 @functools.lru_cache(maxsize=128)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -45,6 +44,17 @@ from .errors import (
 from .likelihood import normal_quantile
 from .region import conservative_ci, conservative_rows, lr_rejections
 from .two_step import two_step_ci, two_step_rows
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures`` process pool, imported only when a study opens one.
+
+    The import pulls in multiprocessing, socket and subprocess, which
+    nothing else in the package needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 class DistFamily(str, Enum):

@@ -20,7 +20,7 @@ from quantdiff import (
 from quantdiff.errors import ConsistencyError, DomainError, IndexOutOfRangeError
 from quantdiff.likelihood import deficits
 
-from oracles import exact_binom_pmf, exact_log_binom_pmf, mode_index
+from oracles import exact_binom_pmf, exact_log_binom_pmf, mode_index, ratio_walk_deficits
 
 
 def _spec(q: float) -> QuantileSpec:
@@ -48,7 +48,7 @@ class TestLogBinomialPmf:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     def test_against_exact_rational(self, n, q):
         # Fraction(q) is the exact binary rational the float input denotes,
-        # so the big-integer result is an oracle for the lgamma-based one.
+        # so the big-integer result is an oracle for the log-pmf kernel.
         for i in range(0, n + 1, max(1, n // 10)):
             got = log_binomial_pmf(i, q, n)
             want = exact_log_binom_pmf(i, n, Fraction(q))
@@ -62,6 +62,17 @@ class TestLogBinomialPmf:
         for k, w in zip(counts, want):
             assert deficits(k, q, n) == pytest.approx(w, abs=1e-9)
         assert deficits(mode, q, n) == 0.0
+
+    @pytest.mark.parametrize("n", [10**6, 10**7, 10**8])
+    def test_deficits_at_large_n(self, n):
+        # 30 counts within 5 standard deviations of the mean, for 20 q.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            q = float(rng.uniform(0.02, 0.98))
+            sd = math.sqrt(n * q * (1.0 - q))
+            counts = np.round(n * q + rng.uniform(-5.0, 5.0, size=30) * sd).astype(np.int64)
+            want = ratio_walk_deficits(counts.tolist(), q, n)
+            assert deficits(counts, q, n) == pytest.approx(want, rel=0, abs=1e-10), q
 
     def test_against_scipy(self):
         rng = np.random.default_rng(11)
@@ -129,6 +140,15 @@ class TestLRStatistic:
                     k, n, Fraction(q)
                 )
                 assert tie or got > 0.0
+
+    def test_near_the_mode_at_n_1e8(self):
+        # Two counts next to the mode: a tiny statistic that must not come
+        # out negative, which would raise ConsistencyError.
+        n, q = 10**8, 0.1674
+        s = lr_statistic_exact(16740001, 16740000, _spec(q), n, n)
+        want = sum(ratio_walk_deficits([16740001], q, n) + ratio_walk_deficits([16740000], q, n))
+        assert s.value >= 0.0
+        assert s.value == pytest.approx(want, rel=0, abs=1e-10)
 
     def test_asymmetric_sizes(self):
         s = lr_statistic_asymptotic(30, 90, _spec(0.5), 60, 180)

@@ -21,7 +21,6 @@ from quantdiff import (
 )
 from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
-from quantdiff.likelihood import deficits
 
 from oracles import best_reachable_score, full_grid_conservative, reachable_pairs
 
@@ -54,8 +53,8 @@ class TestConstrainedMaxIndexes:
 
     def test_exact_tie_breaks_to_smaller_i(self):
         # With 100 points, d=1.0 produces candidates (49, 50) and (50, 51)
-        # whose scores tie bitwise: C(100,49) == C(100,51) makes the two
-        # lgamma expressions identical. Ascending first-wins keeps the
+        # whose scores tie bitwise: at q = 0.5 the log-pmf kernel gives
+        # counts k and n - k the same value. Ascending first-wins keeps the
         # smaller i.
         grid100 = ingest_sample(np.arange(1.0, 101.0))
         assert constrained_max_indexes(grid100, grid100, 0.5, 1.0) == (49, 50)
@@ -410,8 +409,6 @@ class TestAcceptanceGrid:
         if not (0 <= i < grid.g_c.size and 0 <= j < grid.g_t.size):
             assert r.rejects_at(spec.alpha)
             return
-        if deficits(r.i_star, q, n_c) < 0.0 or deficits(r.j_star, q, n_t) < 0.0:
-            return  # the grid clamps a deficit that rounds below zero
         h = grid.g_c[i] + grid.g_t[j]
         assert r.statistic == h
         assert r.rejects_at(spec.alpha) == (not h < grid.threshold)

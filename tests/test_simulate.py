@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +254,24 @@ class TestRunCoverageStudy:
     def test_jobs_validation(self):
         with pytest.raises(DomainError):
             run_coverage_study(_scenario(replications=2), [Method.LR_TWO_STEP], jobs=0)
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # Only a study with more than one worker needs concurrent.futures
+        # and the multiprocessing modules it pulls in.
+        src = Path(simulate.__file__).resolve().parents[1]
+        code = (
+            "import sys, quantdiff.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "[]\n"
 
 
 def _bits(x):
