@@ -69,6 +69,13 @@ class QuantileSpec:
             raise DomainError(
                 f"alpha={self.alpha!r} is too small: 1 - alpha/2 rounds to 1 in double precision"
             )
+        # The binomial log-pmf divides a count by n q, which stays finite
+        # only for a normal (not subnormal) q.
+        if self.q < sys.float_info.min:
+            raise DomainError(
+                f"q={self.q!r} is too small: below the smallest normal double "
+                f"{sys.float_info.min!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ class TestCI:
         assert err == (
             "error: alpha=1e-300 is too small: 1 - alpha/2 rounds to 1 in double precision\n"
         )
+
+    @pytest.mark.parametrize("command", ["ci", "region", "simulate"])
+    def test_subnormal_q_exits_2(self, capsys, sample_files, command):
+        # count / (n q) would overflow in the binomial log-pmf.
+        c, t = sample_files
+        args = {
+            "ci": ["ci", "--control", c, "--treatment", t],
+            "region": ["region", "--n-c", "500", "--n-t", "500", "--exact"],
+            "simulate": ["simulate", "--replications", "2"],
+        }[command]
+        code, out, err = _run(capsys, [*args, "--q", "1e-320"])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: q=1e-320 is too small: below the smallest normal double "
+            "2.2250738585072014e-308\n"
+        )
+
+    def test_smallest_normal_q_gives_finite_grid(self, capsys):
+        argv = ["region", "--n-c", "500", "--n-t", "500", "--exact"]
+        code, out, _ = _run(capsys, [*argv, "--q", "2.2250738585072014e-308"])
+        assert code == 0
+        h = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert len(h) > 1 and all(math.isfinite(v) for v in h)
 
     def test_malformed_line_names_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
