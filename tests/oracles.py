@@ -1,11 +1,10 @@
 """Independent reference implementations used to validate the library.
 
 Everything here deliberately avoids the library's own code paths:
-binomial log-pmfs come from exact big-integer rationals or scipy, large-n
-deficits from a sum of pmf ratios, critical
-values from scipy, the region/line-search results from exhaustive scans
-with no windowing or span restriction, and sample files from a plain
-per-line ``float()`` loop.
+binomial log-pmfs come from exact big-integer rationals or scipy, deficits
+at large n from a sum of pmf ratios, critical values from scipy, the
+region/line-search results from exhaustive scans with no windowing or span
+restriction, and sample files from a plain per-line ``float()`` loop.
 """
 
 from __future__ import annotations
