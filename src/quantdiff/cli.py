@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 on input or validation problems (bad flags,
 unparseable files, out-of-domain parameters), 3 when the input is valid
 but statistically too degenerate for the requested inference, 4 when an
-internal consistency check fails (a bug; the message asks for a report).
+internal consistency check fails (a bug; the message asks for a report),
+141 (128 + SIGPIPE, as a shell reports for a killed writer) when the reader
+of stdout closes the pipe early; nothing is printed then.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from typing import IO, Iterator
 
@@ -248,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -368,17 +368,20 @@ def acceptance_grid(
 
 
 def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
-    """Serialize a grid as CSV: header i,j,h,accepted; booleans as 0/1."""
+    """Serialize a grid as CSV: header i,j,h,accepted; booleans as 0/1.
+
+    Cells run in ascending i, then j; h = g_c(i) + g_t(j) prints as %.9g,
+    and accepted is h < threshold on the double, not its printed digits.
+    Every row spans the same j window, so each j's two cell texts (all but
+    i) are built once; a row picks one per cell by a single comparison,
+    joins them with its i and is formatted by one %.
+    """
     stream.write("i,j,h,accepted\n")
-    j_fields = [f",{j}," for j in range(grid.j_lo, grid.j_lo + grid.g_t.size)]
-    threshold = grid.threshold
-    for i, hs in grid.h_rows():
+    js = range(grid.j_lo, grid.j_lo + grid.g_t.size)
+    rejected = np.array([f",{j},%.9g,0\n" for j in js], dtype=object)
+    accepted = np.array([f",{j},%.9g,1\n" for j in js], dtype=object)
+    for i, g in enumerate(grid.g_c.tolist(), start=grid.i_lo):
+        hs = g + grid.g_t
         i_field = str(i)
-        stream.write(
-            "".join(
-                [
-                    f"{i_field}{j}{h:.9g},{'1' if h < threshold else '0'}\n"
-                    for j, h in zip(j_fields, hs)
-                ]
-            )
-        )
+        row = i_field + i_field.join(np.where(hs < grid.threshold, accepted, rejected))
+        stream.write(row % tuple(hs.tolist()))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths:
 binomial log-pmfs come from exact big-integer rationals or scipy, deficits
 at large n from a sum of pmf ratios, critical values from scipy, the
 region/line-search results from exhaustive scans with no windowing or span
-restriction, and sample files from a plain per-line ``float()`` loop.
+restriction, sample files from a plain per-line ``float()`` loop, and
+the grid CSV from one f-string per cell over the grid's own h rows.
 """
 
 from __future__ import annotations
@@ -152,3 +153,20 @@ def _per_line_values(lines, name: str, skip_header: bool) -> np.ndarray:
     if not values:
         raise EmptySampleError(f"{name}: no values found")
     return np.sort(np.asarray(values, dtype=float))
+
+
+def per_cell_grid_csv(grid, stream) -> None:
+    """The grid CSV written one f-string per cell: i,j,h (9 digits),accepted."""
+    stream.write("i,j,h,accepted\n")
+    j_fields = [f",{j}," for j in range(grid.j_lo, grid.j_lo + grid.g_t.size)]
+    threshold = grid.threshold
+    for i, hs in grid.h_rows():
+        i_field = str(i)
+        stream.write(
+            "".join(
+                [
+                    f"{i_field}{j}{h:.9g},{'1' if h < threshold else '0'}\n"
+                    for j, h in zip(j_fields, hs)
+                ]
+            )
+        )

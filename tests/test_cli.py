@@ -1,13 +1,18 @@
-"""End-to-end command-line behavior, run in-process."""
+"""End-to-end command-line behavior, run in-process (a closed pipe in a subprocess)."""
 
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantdiff
 from quantdiff import QuantileSpec, acceptance_grid, conservative_ci, ingest_sample
 from quantdiff.cli import main
 from quantdiff.errors import ConsistencyError
@@ -407,6 +412,25 @@ class TestRegion:
         )
         assert code_e == code_a == 0
         assert out_e != out_a
+
+    def test_closed_pipe_ends_quietly(self):
+        # The reader stops after the header, long before the 12 MB grid is written.
+        src = str(Path(quantdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["region", "--n-c", "200000", "--n-t", "100000", "--q", "0.5"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quantdiff.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"i,j,h,accepted\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestSimulate:

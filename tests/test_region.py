@@ -1,5 +1,6 @@
 """Constrained line search, LR test, and acceptance-region interval."""
 
+import dataclasses
 import io
 import math
 
@@ -22,7 +23,12 @@ from quantdiff import (
 from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
 
-from oracles import best_reachable_score, full_grid_conservative, reachable_pairs
+from oracles import (
+    best_reachable_score,
+    full_grid_conservative,
+    per_cell_grid_csv,
+    reachable_pairs,
+)
 
 GRID_101 = ingest_sample(np.arange(1.0, 102.0))
 
@@ -428,3 +434,30 @@ class TestAcceptanceGrid:
             h_field = line.split(",")[2]
             digits = h_field.replace("-", "").replace(".", "").replace("e", "")
             assert len(digits.lstrip("0")) <= 9 or "e" in h_field
+
+    @staticmethod
+    def _csv(writer, grid) -> str:
+        buf = io.StringIO()
+        writer(grid, buf)
+        return buf.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_c=hst.integers(1, 400),
+        n_t=hst.integers(1, 400),
+        q=hst.sampled_from([1e-3, 0.02, 0.5, 0.98, 0.999]),
+        alpha=hst.sampled_from([1e-6, 0.05, 0.9999]),
+        use_exact=hst.sampled_from([True, False, None]),
+        cell=hst.integers(0, 2**32),
+    )
+    def test_csv_bytes_match_per_cell_writer(self, n_c, n_t, q, alpha, use_exact, cell):
+        grid = acceptance_grid(n_c, n_t, _spec(q=q, alpha=alpha), use_exact)
+        assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
+        # With the threshold moved onto one cell's h, that cell must read 0.
+        i, j = cell % grid.g_c.size, cell // grid.g_c.size % grid.g_t.size
+        edge = dataclasses.replace(grid, threshold=float(grid.g_c[i] + grid.g_t[j]))
+        assert self._csv(write_acceptance_grid_csv, edge) == self._csv(per_cell_grid_csv, edge)
+
+    def test_csv_bytes_match_per_cell_writer_large_asymptotic(self):
+        grid = acceptance_grid(20_000, 30_000, _spec(q=0.9), use_exact=False)
+        assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
