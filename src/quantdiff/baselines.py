@@ -7,6 +7,10 @@ back-solve, Var(tau_hat) ~= ((u - l) / (2 z))^2, which keeps the whole
 pipeline density-free. Donner-Zou recombines the one-sample bounds
 asymmetrically so that skewed sampling distributions keep their skew in
 the final interval.
+
+Squares are IEEE products (``np.square``), rounded once like every other
+operation here; a square past the float range is infinity, and the row
+it feeds fails on its own.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
-    float_squares,
     outward_index_interval,
     point_estimates,
     quiet_overflow,
@@ -93,8 +96,8 @@ def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> I
     z = normal_quantile(1.0 - spec.alpha / 2.0)
     lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
     lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
-    var_c = float_squares((upper_c - lower_c) / (2.0 * z))
-    var_t = float_squares((upper_t - lower_t) / (2.0 * z))
+    var_c = np.square((upper_c - lower_c) / (2.0 * z))
+    var_t = np.square((upper_t - lower_t) / (2.0 * z))
     diff = point_estimates(y_t, spec.q) - point_estimates(y_c, spec.q)
     halfwidth = z * np.sqrt(var_t + var_c)
     clamped = clamped_c or clamped_t
@@ -120,8 +123,8 @@ def donner_zou_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> Int
     tau_c = point_estimates(y_c, spec.q)
     tau_t = point_estimates(y_t, spec.q)
     diff = tau_t - tau_c
-    upper = diff + np.sqrt(float_squares(upper_t - tau_t) + float_squares(tau_c - lower_c))
-    lower = diff - np.sqrt(float_squares(tau_t - lower_t) + float_squares(upper_c - tau_c))
+    upper = diff + np.sqrt(np.square(upper_t - tau_t) + np.square(tau_c - lower_c))
+    lower = diff - np.sqrt(np.square(tau_t - lower_t) + np.square(upper_c - tau_c))
     return _interval_rows(Method.DONNER_ZOU, spec, lower, upper, clamped_c or clamped_t)
 
 

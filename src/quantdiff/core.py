@@ -307,27 +307,6 @@ def outward_index_bounds(center: float, halfwidth, n: int):
     return np.maximum(lo, 1).astype(np.intp), np.minimum(hi, n).astype(np.intp), clamped
 
 
-def float_squares(values: np.ndarray) -> np.ndarray:
-    """Square each value with Python's float power, which calls C ``pow()``.
-
-    ``pow(x, 2.0)`` and numpy's ``x * x`` round differently on some inputs
-    (about 1 in 1,000 lognormal values). The interval formulas square this
-    way so that their endpoints, and the coverage tables built from them,
-    stay the same to the last bit.
-
-    A square past the float range is infinity (Python's power would raise
-    there), so the interval it feeds fails its own row.
-    """
-    return np.array([_square(v) for v in values.tolist()], dtype=float)
-
-
-def _square(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A two-sided confidence interval with its method tag and diagnostics."""

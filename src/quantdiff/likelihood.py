@@ -228,9 +228,11 @@ def lr_statistic_asymptotic(
 def asymptotic_deficit(i, q: float, n: int):
     """One sample's term (i - n q)^2 / (n q (1-q)) of the asymptotic statistic.
 
-    ``i`` is a count or an integer array of counts; no domain checks.
+    ``i`` is a count or an integer array of counts; no domain checks. The
+    square is a product, so a count and an array of counts round alike.
     """
-    return (i - n * q) ** 2 / (n * q * (1.0 - q))
+    d = i - n * q
+    return d * d / (n * q * (1.0 - q))
 
 
 # Acklam's rational approximation to the standard normal inverse CDF.

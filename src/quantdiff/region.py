@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -91,17 +91,14 @@ class AcceptanceGrid:
     j_first: np.ndarray
     j_last: np.ndarray
 
-    def h_rows(self) -> Iterator[tuple[int, list[float]]]:
-        """(i, H over the j window) for each window row, in ascending i."""
-        for offset, g in enumerate(self.g_c.tolist()):
-            yield self.i_lo + offset, (g + self.g_t).tolist()
-
     @property
     def rows(self) -> list[tuple[int, int, float, bool]]:
         """(i, j, h, accepted) for every window cell, row-major (i, then j)."""
         js = range(self.j_lo, self.j_lo + self.g_t.size)
         return [
-            (i, j, h, h < self.threshold) for i, hs in self.h_rows() for j, h in zip(js, hs)
+            (i, j, h, h < self.threshold)
+            for i, g in enumerate(self.g_c.tolist(), start=self.i_lo)
+            for j, h in zip(js, (g + self.g_t).tolist())
         ]
 
 

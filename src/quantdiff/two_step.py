@@ -7,7 +7,9 @@ radical that depends only on the sample sizes and the ratio of the two
 local cdf slopes. The slopes are unknown, so the procedure runs twice:
 step 1 assumes equal slopes, step 2 plugs in finite-difference slope
 estimates read off the step-1 order statistics. The final interval uses
-just four order statistics, two per sample.
+just four order statistics, two per sample. The squared slope ratio is
+an IEEE product (``np.square``); past the float range it is infinity,
+which collapses that step-2 band.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
-    float_squares,
     outward_index_bounds,
     quiet_overflow,
 )
@@ -93,9 +94,9 @@ def _step2_quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: n
     if not positive.all():
         bad = np.flatnonzero(~positive)[0]
         raise DomainError(f"slopes must be positive, got ({m_c[bad]}, {m_t[bad]})")
-    with np.errstate(over="ignore"):  # an infinite ratio is a valid extreme
-        ratio_c, ratio_t = m_c / m_t, m_t / m_c
-    return _quads(spec, n_c, n_t, float_squares(ratio_c), float_squares(ratio_t))
+    with np.errstate(over="ignore"):  # an infinite ratio or square is a valid extreme
+        ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
+    return _quads(spec, n_c, n_t, ratio_c2, ratio_t2)
 
 
 def _one_quad(quads, n_c: int, n_t: int, q: float) -> IndexQuad:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths:
 binomial log-pmfs come from exact big-integer rationals or scipy, deficits
 at large n from a sum of pmf ratios, critical values from scipy, the
 region/line-search results from exhaustive scans with no windowing or span
-restriction, sample files from a plain per-line ``float()`` loop, and
-the grid CSV from one f-string per cell over the grid's own h rows.
+restriction, sample files from a plain per-line ``float()`` loop, the
+grid CSV from one f-string per cell over the grid's own deficits, and the
+Price-Bonett and Donner-Zou squares from exact rationals.
 """
 
 from __future__ import annotations
@@ -64,6 +65,38 @@ def ratio_walk_deficits(counts: list[int], q: float, n: int) -> list[float]:
 def quadratic_deficits(q: float, n: int) -> np.ndarray:
     """(i - n q)^2 / (n q (1 - q)) for i in [0, n]: the asymptotic statistic's terms."""
     return (np.arange(n + 1) - n * q) ** 2 / (n * q * (1.0 - q))
+
+
+def rounded_square(x: float) -> float:
+    """x^2 rounded once from the exact rational square; infinity past the float range."""
+    try:
+        return float(Fraction(x) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+def price_bonnet_endpoints(b_c, b_t, tau_c: float, tau_t: float, z: float):
+    """Price-Bonett (lower, upper) from one-sample bounds, point estimates and z.
+
+    Var = ((u - l) / (2 z))^2 per arm; the squares come from
+    :func:`rounded_square`, every other step is one rounded float operation.
+    """
+    var_c = rounded_square((b_c.upper - b_c.lower) / (2.0 * z))
+    var_t = rounded_square((b_t.upper - b_t.lower) / (2.0 * z))
+    diff, halfwidth = tau_t - tau_c, z * math.sqrt(var_t + var_c)
+    return diff - halfwidth, diff + halfwidth
+
+
+def donner_zou_endpoints(b_c, b_t, tau_c: float, tau_t: float):
+    """Donner-Zou (lower, upper) from one-sample bounds and point estimates.
+
+    The MOVER root of each endpoint's two tail distances, squared by
+    :func:`rounded_square`.
+    """
+    diff = tau_t - tau_c
+    lower = diff - math.sqrt(rounded_square(tau_t - b_t.lower) + rounded_square(b_c.upper - tau_c))
+    upper = diff + math.sqrt(rounded_square(b_t.upper - tau_t) + rounded_square(tau_c - b_c.lower))
+    return lower, upper
 
 
 def full_grid_conservative(
@@ -160,7 +193,8 @@ def per_cell_grid_csv(grid, stream) -> None:
     stream.write("i,j,h,accepted\n")
     j_fields = [f",{j}," for j in range(grid.j_lo, grid.j_lo + grid.g_t.size)]
     threshold = grid.threshold
-    for i, hs in grid.h_rows():
+    for i, g in enumerate(grid.g_c.tolist(), start=grid.i_lo):
+        hs = [g + h_t for h_t in grid.g_t.tolist()]
         i_field = str(i)
         stream.write(
             "".join(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from quantdiff import (
     Method,
@@ -15,7 +17,10 @@ from quantdiff import (
     price_bonnet_ci,
     quantile_point_estimate,
 )
-from quantdiff.errors import InsufficientSampleError
+from quantdiff.errors import InsufficientSampleError, NumericOverflowError
+from quantdiff.likelihood import normal_quantile
+
+from oracles import donner_zou_endpoints, price_bonnet_endpoints
 
 
 def _spec(q=0.5, alpha=0.05):
@@ -179,3 +184,49 @@ class TestDonnerZou:
         one = ingest_sample([1.0])
         with pytest.raises(InsufficientSampleError):
             donner_zou_ci(one, GRID_100, _spec())
+
+
+class TestCorrectlyRoundedSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n_c=hst.integers(20, 400),
+        n_t=hst.integers(20, 400),
+        q=hst.floats(0.05, 0.95),
+        alpha=hst.sampled_from([0.1, 0.05, 0.01]),
+        tied=hst.booleans(),
+        exponent=hst.integers(-300, 300),
+    )
+    # C pow(x, 2.0) misrounds a square in these two: the Donner-Zou lower
+    # endpoint and both Price-Bonett endpoints move by 1 to 4 ulp.
+    @example(
+        seed=2029191568, n_c=117, n_t=205, q=0.7876952445972364, alpha=0.01, tied=False,
+        exponent=-20,
+    )
+    @example(
+        seed=3640494715, n_c=317, n_t=351, q=0.6765042357958296, alpha=0.05, tied=True,
+        exponent=30,
+    )
+    def test_endpoints_match_fraction_oracle(self, seed, n_c, n_t, q, alpha, tied, exponent):
+        # Each square is the exact square rounded once, the same on every
+        # platform; a square past the float range fails the interval.
+        rng = np.random.default_rng(seed)
+        arms = [rng.normal(size=n) if tied else rng.lognormal(size=n) for n in (n_c, n_t)]
+        if tied:
+            arms = [np.round(y, 1) for y in arms]
+        control, treatment = (ingest_sample(y * 10.0**exponent) for y in arms)
+        spec = _spec(q=q, alpha=alpha)
+        b_c, b_t = one_sample_ci(control, spec), one_sample_ci(treatment, spec)
+        tau_c = quantile_point_estimate(control, q)
+        tau_t = quantile_point_estimate(treatment, q)
+        z = normal_quantile(1.0 - alpha / 2.0)
+        for ci, want in (
+            (price_bonnet_ci, price_bonnet_endpoints(b_c, b_t, tau_c, tau_t, z)),
+            (donner_zou_ci, donner_zou_endpoints(b_c, b_t, tau_c, tau_t)),
+        ):
+            if not all(map(math.isfinite, want)):
+                with pytest.raises(NumericOverflowError):
+                    ci(control, treatment, spec)
+                continue
+            got = ci(control, treatment, spec)
+            assert (got.lower.hex(), got.upper.hex()) == (want[0].hex(), want[1].hex())

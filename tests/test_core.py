@@ -26,7 +26,7 @@ from quantdiff import (
     read_sample_csv,
 )
 from quantdiff import core
-from quantdiff.core import float_squares, outward_index_bounds
+from quantdiff.core import outward_index_bounds
 from quantdiff.errors import (
     ConsistencyError,
     DomainError,
@@ -405,19 +405,3 @@ class TestOutwardIndexInterval:
         for k, hw in enumerate(halfwidths.tolist()):
             assert (lo[k], hi[k], clamped[k]) == outward_index_interval(50.0, hw, 100)
 
-
-class TestFloatSquares:
-    def test_rounds_like_python_power(self):
-        # With glibc, pow(x, 2.0) and x * x differ in the last bit here; the
-        # interval formulas must keep Python's rounding.
-        x = float.fromhex("0x1.27cb4543e01a2p-2")
-        values = np.array([x, -3.0, 0.0, 1e-170])
-        got = float_squares(values)
-        assert [v.hex() for v in got.tolist()] == [(v**2).hex() for v in values.tolist()]
-
-    def test_overflow_gives_infinity(self):
-        x = float.fromhex("0x1.27cb4543e01a2p-2")
-        got = float_squares(np.array([x, -2e300, np.nan, np.inf, 1e154])).tolist()
-        assert got[1] == math.inf and math.isnan(got[2])
-        kept = [x, np.inf, 1e154]
-        assert [v.hex() for v in got[:1] + got[3:]] == [(v**2).hex() for v in kept]

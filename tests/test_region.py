@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from quantdiff import (
@@ -17,6 +17,7 @@ from quantdiff import (
     conservative_ci,
     constrained_max_indexes,
     ingest_sample,
+    lr_statistic_asymptotic,
     lr_test,
     write_acceptance_grid_csv,
 )
@@ -418,6 +419,22 @@ class TestAcceptanceGrid:
         h = grid.g_c[i] + grid.g_t[j]
         assert r.statistic == h
         assert r.rejects_at(spec.alpha) == (not h < grid.threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_c=hst.integers(10, 1000),
+        n_t=hst.integers(10, 1000),
+        q=hst.floats(0.02, 0.98),
+        alpha=hst.sampled_from([0.1, 0.05, 0.01]),
+    )
+    # C pow(x, 2.0) misrounded the scalar square at some of these cells.
+    @example(n_c=492, n_t=67, q=0.6344101359849695, alpha=0.1)
+    def test_asymptotic_statistic_reads_its_grid_cell(self, n_c, n_t, q, alpha):
+        spec = _spec(q=q, alpha=alpha)
+        grid = acceptance_grid(n_c, n_t, spec, use_exact=False)
+        for i, g_c in enumerate(grid.g_c.tolist(), start=grid.i_lo):
+            for j, g_t in enumerate(grid.g_t.tolist(), start=grid.j_lo):
+                assert lr_statistic_asymptotic(i, j, spec, n_c, n_t).value == g_c + g_t
 
     def test_csv_export(self):
         grid = acceptance_grid(3, 3, _spec(), use_exact=True)

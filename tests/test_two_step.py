@@ -132,6 +132,12 @@ class TestStep2Indexes:
         assert quad.i_plus - quad.i_minus <= 2
         assert quad.j_plus - quad.j_minus > 100
 
+    def test_squared_ratio_past_the_float_range_collapses_quietly(self):
+        # (m_c / m_t)^2 = 1e320 is infinity, so the i band collapses; numpy
+        # must not warn about the overflow on the way.
+        with pytest.raises(InsufficientSampleError):
+            step2_indexes(_spec(), 200, 200, SlopeEstimates(1e160, 1.0, False))
+
     def test_rejects_fallback_and_bad_slopes(self):
         with pytest.raises(DomainError):
             step2_indexes(
