@@ -1,7 +1,8 @@
 """Command-line interface: ci, test, region, and simulate subcommands.
 
 Exit codes: 0 on success, 2 on input or validation problems (bad flags,
-unparseable files, out-of-domain parameters), 3 when the input is valid
+unparseable files, out-of-domain parameters, a ``simulate`` whose draw
+arrays cannot be allocated at the given sizes), 3 when the input is valid
 but statistically too degenerate for the requested inference, 4 when an
 internal consistency check fails (a bug; the message asks for a report),
 141 (128 + SIGPIPE, as a shell reports for a killed writer) when the reader

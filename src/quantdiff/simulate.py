@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from typing import IO, Iterable, Sequence
 
@@ -190,8 +191,9 @@ class ScenarioSpec:
         QuantileSpec(self.q, self.alpha)  # domain checks
         if self.n_c < 1 or self.n_t < 1:
             raise DomainError("sample sizes must be >= 1")
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
+        if not (1 <= self.replications <= 2**64):
+            # A replication's index keys its substream as an unsigned 64-bit integer.
+            raise DomainError("replications must lie in [1, 2**64]")
         if not (0 <= self.master_seed < 2**64):
             raise DomainError("master_seed must fit in an unsigned 64-bit integer")
         delta = true_quantile(self.dist_t, self.q) - true_quantile(self.dist_c, self.q)
@@ -210,29 +212,99 @@ class CoverageRow:
     failures: int
 
 
-def _draw(rng: np.random.Generator, dist: Distribution, n: int) -> np.ndarray:
+def _sampler(rng: np.random.Generator, dist: Distribution, n: int):
+    """A call that draws n values of ``dist`` from ``rng``."""
     if dist.family is DistFamily.NORMAL:
-        return rng.normal(dist.params[0], dist.params[1], size=n)
+        return partial(rng.normal, dist.params[0], dist.params[1], n)
     if dist.family is DistFamily.LOGNORMAL:
-        return rng.lognormal(dist.params[0], dist.params[1], size=n)
+        return partial(rng.lognormal, dist.params[0], dist.params[1], n)
     if dist.family is DistFamily.EXPONENTIAL:
-        return rng.exponential(scale=1.0 / dist.params[0], size=n)
-    return rng.uniform(dist.params[0], dist.params[1], size=n)
+        return partial(rng.exponential, 1.0 / dist.params[0], n)
+    return partial(rng.uniform, dist.params[0], dist.params[1], n)
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hash of uint32 words; each call steps the hash constant by ``mult``."""
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    return hash_words
+
+
+def _philox_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The Philox keys of replications start..stop-1, one (stop - start, 2) uint64 row each.
+
+    Row r holds the key of ``Philox(SeedSequence(entropy=(master_seed, r)))``,
+    for any master_seed and r below 2**64: numpy's SeedSequence mixing over
+    a pool of 4 words, run for all rows at once in uint32 arithmetic, then
+    ``generate_state(2, np.uint64)``. The entropy words are master_seed's
+    (one below 2**32, else two), then r's low and high words; a pool word
+    past the end is hashed as 0, as numpy hashes its missing ones.
+    """
+    r = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
+    seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    words = [np.full(len(r), w, dtype=np.uint32) for w in seed_words]
+    words += [(r & _MASK32).astype(np.uint32), (r >> 32).astype(np.uint32)]
+    words += [np.zeros(len(r), dtype=np.uint32)] * (4 - len(words))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    finish = _hasher(_INIT_B, _MULT_B)
+    state = [finish(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
 def _draw_block(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted control and treatment draws of replications start..stop-1, one row each.
 
     Replication r draws control then treatment from its own Philox
-    substream keyed by (master_seed, r).
+    substream, that of ``Generator(Philox(SeedSequence(entropy=(master_seed,
+    r))))``. One generator serves the block: before each row its Philox
+    is set to the state such a fresh one starts in, under the row's key.
     """
-    y_c = np.empty((stop - start, spec.n_c))
-    y_t = np.empty((stop - start, spec.n_t))
-    for row, r in enumerate(range(start, stop)):
-        seed_seq = np.random.SeedSequence(entropy=(spec.master_seed, r))
-        rng = np.random.Generator(np.random.Philox(seed_seq))
-        y_c[row] = _draw(rng, spec.dist_c, spec.n_c)
-        y_t[row] = _draw(rng, spec.dist_t, spec.n_t)
+    try:
+        y_c = np.empty((stop - start, spec.n_c))
+        y_t = np.empty((stop - start, spec.n_t))
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"the draws of {stop - start} replication(s) with n_c = {spec.n_c} and "
+            f"n_t = {spec.n_t} do not fit in memory"
+        ) from None
+    bit_generator = np.random.Philox(0)  # a fixed seed: no OS entropy
+    rng = np.random.Generator(bit_generator)
+    draw_c = _sampler(rng, spec.dist_c, spec.n_c)
+    draw_t = _sampler(rng, spec.dist_t, spec.n_t)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for row, key in enumerate(_philox_keys(spec.master_seed, start, stop)):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        y_c[row] = draw_c()
+        y_t[row] = draw_t()
     finite = np.isfinite(y_c).all(axis=1) & np.isfinite(y_t).all(axis=1)
     if not finite.all():
         bad = start + int(np.flatnonzero(~finite)[0])

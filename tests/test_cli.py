@@ -485,6 +485,28 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error: uniform width b - a overflows double precision")
 
+    def test_oversize_arrays_exit_2_naming_the_sizes(self, capsys, monkeypatch):
+        # numpy refuses an array of 2**61 doubles (2**64 bytes) before it
+        # allocates anything.
+        argv = ["simulate", "--q", "0.5", "--replications", "3", "--n-t", "7"]
+        code, out, err = _run(capsys, [*argv, "--n-c", str(2**61)])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the draws of 1 replication(s) with n_c = 2305843009213693952 "
+            "and n_t = 7 do not fit in memory\n"
+        )
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "empty", out_of_memory)
+        code, out, err = _run(capsys, [*argv, "--n-c", "1000000000000"])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the draws of 1 replication(s) with n_c = 1000000000000 "
+            "and n_t = 7 do not fit in memory\n"
+        )
+
     def test_deterministic_across_runs_and_jobs(self, tmp_path, capsys):
         args = ["simulate", "--n-c", "50", "--n-t", "50", "--q", "0.5",
                 "--replications", "40", "--seed", "11", "--methods",

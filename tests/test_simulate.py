@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from quantdiff import (
     COVERAGE_CSV_HEADER,
@@ -151,6 +153,104 @@ class TestGeneratePair:
             generate_pair(spec, -1)
 
 
+# One arm of each family, and its draw as plain numpy code.
+_ARMS = [
+    Distribution.normal(0.5, 2.0),
+    Distribution.lognormal(-0.5, 0.8),
+    Distribution.exponential(3.0),
+    Distribution.uniform(-1.0, 4.0),
+]
+_NUMPY_DRAWS = {
+    "normal": lambda rng, p, n: rng.normal(p[0], p[1], size=n),
+    "lognormal": lambda rng, p, n: rng.lognormal(p[0], p[1], size=n),
+    "exponential": lambda rng, p, n: rng.exponential(scale=1.0 / p[0], size=n),
+    "uniform": lambda rng, p, n: rng.uniform(p[0], p[1], size=n),
+}
+_U64 = 2**64 - 1
+
+
+def _numpy_pair(spec, r):
+    """Replication r's sorted draws from numpy's own substream for (master_seed, r)."""
+    seed_seq = np.random.SeedSequence(entropy=(spec.master_seed, r))
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    arms = [(spec.dist_c, spec.n_c), (spec.dist_t, spec.n_t)]
+    return [np.sort(_NUMPY_DRAWS[d.family.value](rng, d.params, n)) for d, n in arms]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSubstreams:
+    """Replication r draws exactly what numpy's substream for (master_seed, r) gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=hst.integers(0, _U64),
+        r=hst.integers(0, _U64),
+        arm_c=hst.sampled_from(_ARMS),
+        arm_t=hst.sampled_from(_ARMS),
+        n_c=hst.integers(1, 30),
+        n_t=hst.integers(1, 30),
+    )
+    @example(seed=0, r=0, arm_c=_ARMS[0], arm_t=_ARMS[1], n_c=5, n_t=6)
+    @example(seed=2**32 - 1, r=2**32 - 1, arm_c=_ARMS[1], arm_t=_ARMS[2], n_c=5, n_t=6)
+    @example(seed=2**32, r=2**32, arm_c=_ARMS[2], arm_t=_ARMS[3], n_c=5, n_t=6)
+    @example(seed=_U64, r=_U64, arm_c=_ARMS[3], arm_t=_ARMS[0], n_c=5, n_t=6)
+    @example(seed=2**32 - 1, r=2**32 + 5, arm_c=_ARMS[0], arm_t=_ARMS[0], n_c=5, n_t=6)
+    @example(seed=2**32, r=7, arm_c=_ARMS[3], arm_t=_ARMS[3], n_c=5, n_t=6)
+    def test_pair_is_numpys_substream(self, seed, r, arm_c, arm_t, n_c, n_t):
+        # generate_pair draws one row only, so any index below replications works.
+        spec = _scenario(
+            dist_c=arm_c, dist_t=arm_t, n_c=n_c, n_t=n_t,
+            replications=2**64, master_seed=seed,
+        )
+        control, treatment = generate_pair(spec, r)
+        want_c, want_t = _numpy_pair(spec, r)
+        assert _same_bits(control.values, want_c)
+        assert _same_bits(treatment.values, want_t)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, _U64])
+    @pytest.mark.parametrize("family", range(4))
+    def test_block_across_two_to_the_32(self, seed, family):
+        # r's high word turns from 0 to 1 inside the block.
+        spec = _scenario(
+            dist_c=_ARMS[family], dist_t=_ARMS[(family + 1) % 4], n_c=9, n_t=4,
+            replications=2**64, master_seed=seed,
+        )
+        y_c, y_t = simulate._draw_block(spec, 2**32 - 2, 2**32 + 2)
+        for row, r in enumerate(range(2**32 - 2, 2**32 + 2)):
+            want_c, want_t = _numpy_pair(spec, r)
+            assert _same_bits(y_c[row], want_c), (seed, r)
+            assert _same_bits(y_t[row], want_t), (seed, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, _U64),
+        start=hst.one_of(
+            hst.integers(0, 50),
+            hst.integers(2**32 - 30, 2**32 + 5),
+            hst.integers(2**64 - 60, 2**64 - 30),
+        ),
+        data=hst.data(),
+    )
+    def test_split_does_not_change_the_draws(self, seed, start, data):
+        # Drawing rows [start, stop) as one block or as sub-blocks, as the
+        # study does for any --jobs, gives the same rows bit for bit.
+        stop = start + data.draw(hst.integers(2, 30), label="rows")
+        cuts = data.draw(hst.sets(hst.integers(start + 1, stop - 1)), label="cuts")
+        bounds = [start, *sorted(cuts), stop]
+        spec = _scenario(
+            dist_c=data.draw(hst.sampled_from(_ARMS), label="arm_c"),
+            dist_t=data.draw(hst.sampled_from(_ARMS), label="arm_t"),
+            n_c=6, n_t=3, replications=2**64, master_seed=seed,
+        )
+        whole = simulate._draw_block(spec, start, stop)
+        parts = [simulate._draw_block(spec, a, b) for a, b in zip(bounds, bounds[1:])]
+        for arm in (0, 1):
+            assert _same_bits(np.concatenate([part[arm] for part in parts]), whole[arm])
+
+
 class TestScenarioSpec:
     def test_true_delta_derived(self):
         spec = _scenario(dist_t=Distribution.normal(1.5, 1.0))
@@ -171,6 +271,8 @@ class TestScenarioSpec:
             _scenario(master_seed=-1)
         with pytest.raises(DomainError):
             _scenario(master_seed=2**64)
+        with pytest.raises(DomainError):
+            _scenario(replications=2**64 + 1)
 
 
 class TestRunCoverageStudy:
@@ -255,14 +357,13 @@ class TestRunCoverageStudy:
         with pytest.raises(DomainError):
             run_coverage_study(_scenario(replications=2), [Method.LR_TWO_STEP], jobs=0)
 
-    def test_cli_import_leaves_out_the_process_pool(self):
-        # Only a study with more than one worker needs concurrent.futures
-        # and the multiprocessing modules it pulls in.
+    @staticmethod
+    def _modules_after_cli_import(prefixes):
+        """The loaded modules, after a fresh ``import quantdiff.cli``, that start with a prefix."""
         src = Path(simulate.__file__).resolve().parents[1]
         code = (
             "import sys, quantdiff.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -271,7 +372,17 @@ class TestRunCoverageStudy:
             text=True,
             check=True,
         )
-        assert out.stdout == "[]\n"
+        return out.stdout
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # Only a study with more than one worker needs concurrent.futures
+        # and the multiprocessing modules it pulls in.
+        assert self._modules_after_cli_import(["concurrent", "multiprocessing"]) == "[]\n"
+
+    def test_cli_import_leaves_out_numpy_random(self):
+        # numpy.random (with secrets, hashlib and every bit generator) loads
+        # when a study first draws, so ci, test and region never pay for it.
+        assert self._modules_after_cli_import(["numpy.random"]) == "[]\n"
 
 
 def _bits(x):
