@@ -241,9 +241,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _join_shift(argv: list[str]) -> list[str]:
+    """argv with each ``--d VALUE`` that ``float`` parses joined into ``--d=VALUE``.
+
+    argparse takes ``-1e-3``, unlike ``-0.001``, for an option, not a value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--d":
+            with contextlib.suppress(ValueError):
+                float(token)
+                out[-1] = f"--d={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_shift(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValidationError as exc:

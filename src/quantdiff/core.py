@@ -156,7 +156,8 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     anything but one column of finite values, the per-line parser reads
     the input again: it accepts what only ``float`` knows (``1_000``,
     non-ASCII digits) and raises the errors, which name the file and the
-    1-based line number.
+    1-based line number. Input other than a regular file (stdin, a pipe,
+    a name numpy would decompress) is read once and both parse that text.
     """
     if not isinstance(source, str):
         stream, name = source, getattr(source, "name", "<stream>")
@@ -169,7 +170,9 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
             return _read_buffered(stream, name, skip_header)
         with open(source, "r", encoding="utf-8") as fh:
             path = _loadtxt_path(fh)
-            values = None if path is None else _load_column(path, skip_header)
+            if path is None:
+                return _read_buffered(fh, name, skip_header)
+            values = _load_column(path, skip_header)
             if values is None:
                 return _parse_value_lines(fh, name, skip_header)
             return ingest_sample(values)

@@ -1,11 +1,11 @@
 """Binomial quantile likelihood, the LR statistic, and reference quantiles.
 
-The statistic is a sum of two per-sample deficits, and ``deficits`` is
-the one copy of the exact deficit; it and ``asymptotic_deficit`` take a
-count or an array of counts, and ``exact_statistic`` takes a sum of
-deficits or an array of them. Likelihood values are handled in
-natural-log space throughout, since binomial coefficients overflow
-doubles for sample sizes in the low thousands.
+The statistic is a sum of two per-sample deficits. ``deficits`` is the
+one copy of the exact deficit and the one place that clamps rounding
+noise below zero; it and ``asymptotic_deficit`` take a count or an array
+of counts. Likelihood values are handled in natural-log space throughout,
+since binomial coefficients overflow doubles for sample sizes in the low
+thousands.
 
 Every log-pmf comes from one array kernel in Loader's saddle-point form
 (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
@@ -93,10 +93,8 @@ _BD0_SERIES = tuple(1.0 / (2 * j + 1) for j in range(8, 0, -1))
 def _stirlerr(k: np.ndarray) -> np.ndarray:
     """stirlerr(k) for a float array of counts k >= 1: the table up to 15, the series above."""
     kk = k * k
-    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
-    small = k <= 15
-    out[small] = _STIRLERR[k[small].astype(np.intp)]
-    return out
+    series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(np.intp)], series)
 
 
 def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -108,17 +106,12 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     d = x - m
     v = d / (x + m)
-    near = np.abs(v) < 0.1
-    out = np.empty_like(d)
-    far = ~near
-    out[far] = x[far] * np.log(x[far] / m[far]) - d[far]
-    x, d, v = x[near], d[near], v[near]
     u = v * v
     poly = _BD0_SERIES[0]
     for c in _BD0_SERIES[1:]:
         poly = poly * u + c
-    out[near] = d * v + 2.0 * x * v * u * poly
-    return out
+    series = d * v + 2.0 * x * v * u * poly
+    return np.where(np.abs(v) < 0.1, series, x * np.log(x / m) - d)
 
 
 def _log_pmf(counts: np.ndarray, q: float, n: int) -> np.ndarray:
@@ -171,58 +164,48 @@ def deficits(counts, q: float, n: int):
     The mode is floor(q*(n+1)). ``counts`` is a count or an integer array
     of counts; the kernel runs once per distinct count. A deficit is
     never negative: one that rounds below zero, at a count whose pmf ties
-    the mode's, is +0.0.
+    the mode's, is +0.0, and one below -``_LR_SLACK`` raises
+    :class:`ConsistencyError`, since it means a broken invariant.
     """
     distinct, inverse = np.unique(counts, return_inverse=True)
     values = _log_pmf(np.append(distinct, max_likelihood_index(q, n)), q, n)
-    return exact_statistic(-2.0 * (values[:-1] - values[-1])[inverse])
+    g = -2.0 * (values[:-1] - values[-1])
+    if g.min() < -_LR_SLACK:
+        raise ConsistencyError(f"deficit {g.min()} below -{_LR_SLACK}; likelihood order violated")
+    return np.where(g <= 0.0, 0.0, g)[inverse]
 
 
-def exact_statistic(value):
-    """Exact H from a sum of deficits g_c(i) + g_t(j), a float or an array.
-
-    Rounding noise at or below zero becomes +0.0; anything more negative
-    than the slack raises, since it means a broken invariant.
-    """
-    worst = np.min(value)
-    if worst < -_LR_SLACK:
-        raise ConsistencyError(
-            f"LR statistic {worst} below -{_LR_SLACK}; likelihood ordering violated"
-        )
-    return np.where(value <= 0.0, 0.0, value)
-
-
-def lr_statistic_exact(
-    i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int
-) -> LRStatistic:
-    """Exact LR statistic H(i, j | q, n_c, n_t).
-
-    H is -2 times the log of the ratio between the joint likelihood at
-    counts (i, j) and the unconstrained maximum, which sits at the counts
-    floor(q*(n+1)) for each sample. Zero iff (i, j) is that maximizer.
-    """
-    q = spec.q
-    value = float(exact_statistic(deficits(i, q, n_c) + deficits(j, q, n_t)))
-    return LRStatistic(value=value, i_star=i, j_star=j, exact=True)
-
-
-def lr_statistic_asymptotic(
-    i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int
-) -> LRStatistic:
-    """Large-sample quadratic form replacing the exact H.
-
-    Applies the normal limit of the binomial to each sample:
-    (i - n_c q)^2 / (n_c q (1-q)) + (j - n_t q)^2 / (n_t q (1-q)).
-    """
-    q = spec.q
+def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int, exact: bool):
+    """LRStatistic of deficit(i | q, n_c) + deficit(j | q, n_t) after the size and count checks."""
     if n_c < 1 or n_t < 1:
         raise DomainError("sample sizes must be >= 1")
     if i < 0 or i > n_c:
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n_c}]")
     if j < 0 or j > n_t:
         raise IndexOutOfRangeError(f"count j={j} outside [0, {n_t}]")
-    value = asymptotic_deficit(i, q, n_c) + asymptotic_deficit(j, q, n_t)
-    return LRStatistic(value=value, i_star=i, j_star=j, exact=False)
+    value = float(deficit(i, spec.q, n_c) + deficit(j, spec.q, n_t))
+    return LRStatistic(value=value, i_star=i, j_star=j, exact=exact)
+
+
+def lr_statistic_exact(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -> LRStatistic:
+    """Exact LR statistic H(i, j | q, n_c, n_t), the sum of two :func:`deficits`.
+
+    H is -2 times the log of the ratio between the joint likelihood at
+    counts (i, j) and the unconstrained maximum, which sits at the counts
+    floor(q*(n+1)) for each sample. Zero iff (i, j) is that maximizer.
+    Counts outside [0, n] raise :class:`IndexOutOfRangeError`.
+    """
+    return _lr_statistic(deficits, i, j, spec, n_c, n_t, exact=True)
+
+
+def lr_statistic_asymptotic(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -> LRStatistic:
+    """Large-sample quadratic form replacing the exact H.
+
+    Applies the normal limit of the binomial to each sample:
+    (i - n_c q)^2 / (n_c q (1-q)) + (j - n_t q)^2 / (n_t q (1-q)).
+    Counts outside [0, n] raise :class:`IndexOutOfRangeError`.
+    """
+    return _lr_statistic(asymptotic_deficit, i, j, spec, n_c, n_t, exact=False)
 
 
 def asymptotic_deficit(i, q: float, n: int):

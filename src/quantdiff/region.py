@@ -36,13 +36,7 @@ from .core import (
     quiet_overflow,
 )
 from .errors import ConsistencyError, DegenerateRegionError, NumericOverflowError, ValidationError
-from .likelihood import (
-    asymptotic_deficit,
-    chi2_quantile_1df,
-    chi2_sf_1df,
-    deficits,
-    exact_statistic,
-)
+from .likelihood import asymptotic_deficit, chi2_quantile_1df, chi2_sf_1df, deficits
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ def _constrained_max_rows(
         order = tied[np.lexsort((j[tied], i[tied], row[tied]))]
         best = order[np.searchsorted(row[order], rows)]
         i_star[bound], j_star[bound], h[bound] = i[best], j[best], score[best]
-    return i_star, j_star, exact_statistic(h)
+    return i_star, j_star, h
 
 
 def constrained_max_indexes(

@@ -10,6 +10,10 @@ estimates read off the step-1 order statistics. The final interval uses
 just four order statistics, two per sample. The squared slope ratio is
 an IEEE product (``np.square``); past the float range it is infinity,
 which collapses that step-2 band.
+
+One fallback rule: a row whose step-1 spacing is zero, whose two slopes
+overflow to infinity (no ratio) or whose step-2 quad collapses takes
+equal slopes, whose ratio 1.0 gives the step-1 quad bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ class IndexQuad:
 class SlopeEstimates:
     """Finite-difference cdf slopes near the target quantile.
 
-    ``fallback`` is set when an estimate degenerated (tied order
-    statistics give a zero denominator); m_c and m_t are NaN in that case
+    ``fallback`` is set when an estimate degenerated (a zero spacing, or
+    two infinite slopes with no ratio); m_c and m_t are NaN in that case
     and callers revert to the equal-slope indexes.
     """
 
@@ -89,13 +93,15 @@ def _quads(spec: QuantileSpec, n_c: int, n_t: int, ratio_c2: np.ndarray, ratio_t
 
 
 def _step2_quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndarray):
-    """:func:`_quads` for arrays of slope estimates."""
-    positive = (m_c > 0.0) & (m_t > 0.0)
-    if not positive.all():
-        bad = np.flatnonzero(~positive)[0]
-        raise DomainError(f"slopes must be positive, got ({m_c[bad]}, {m_t[bad]})")
-    with np.errstate(over="ignore"):  # an infinite ratio or square is a valid extreme
+    """:func:`_quads` for arrays of positive slope estimates whose ratio is a number."""
+    # An infinite ratio or square is a valid extreme; two infinite slopes have
+    # no ratio, and a zero or negative slope is refused below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
+    bad = ~((m_c > 0.0) & (m_t > 0.0)) | np.isnan(ratio_c2)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise DomainError(f"slopes must be positive with a ratio, got ({m_c[k]}, {m_t[k]})")
     return _quads(spec, n_c, n_t, ratio_c2, ratio_t2)
 
 
@@ -124,15 +130,15 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
 def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
     """m_c, m_t and the fallback mask for each row pair of sorted blocks.
 
-    Where a denominator is zero the row falls back and its slopes are
-    meaningless.
+    A row falls back where a spacing is zero or both slopes overflow to
+    infinity, so their ratio is NaN; its slopes are meaningless.
     """
     dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
     dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m_c = ((quad.i_plus - quad.i_minus) / y_c.shape[1]) / dy_c
         m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
-    return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0)
+        return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0) | np.isnan(m_c / m_t)
 
 
 def estimate_slopes(
@@ -141,9 +147,9 @@ def estimate_slopes(
     """Finite-difference cdf slopes across the step-1 index span.
 
     m_hat = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)). Tied
-    order statistics make a denominator zero; that is reported through
-    ``fallback`` rather than an error, since ties are routine in rounded
-    or discrete-valued data.
+    order statistics make a denominator zero and spacings below the float
+    range make both slopes infinite; both go to ``fallback``, not an
+    error, since ties are routine in rounded or discrete-valued data.
     """
     if quad.i_plus > control.n or quad.j_plus > treatment.n:
         raise DomainError(f"index quad {quad} outside the samples ({control.n}, {treatment.n})")
@@ -178,26 +184,20 @@ def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> Inter
     n_c, n_t = y_c.shape[1], y_t.shape[1]
     quad1 = step1_indexes(spec, n_c, n_t)
     m_c, m_t, fallback = _slopes(y_c, y_t, quad1)
-    quad = [
-        np.full(len(y_c), k) for k in (quad1.i_minus, quad1.i_plus, quad1.j_minus, quad1.j_plus)
-    ]
-    clamped = np.full(len(y_c), quad1.clamped)
-    fit = np.flatnonzero(~fallback)
-    *quad2, clamped2, collapsed = _step2_quads(spec, n_c, n_t, m_c[fit], m_t[fit])
-    # A collapsed step-2 quad keeps step 1 and counts as a fallback.
-    fallback[fit[collapsed]] = True
-    used, fit = ~collapsed, fit[~collapsed]
-    for old, new in zip(quad, quad2):
-        old[fit] = new[used]
-    clamped[fit] |= clamped2[used]
-    i_minus, i_plus, j_minus, j_plus = quad
+    # A fallback row takes equal slopes. A row whose step-2 quad collapses
+    # falls back too and is computed again the same way, as the step-1
+    # quad, which never collapses; so the second pass is the last.
+    for _ in range(2):
+        slopes = np.where(fallback, 1.0, m_c), np.where(fallback, 1.0, m_t)
+        i_minus, i_plus, j_minus, j_plus, clamped, collapsed = _step2_quads(spec, n_c, n_t, *slopes)
+        fallback = fallback | collapsed
     rows = np.arange(len(y_c))
     return IntervalRows(
         method=Method.LR_TWO_STEP,
         alpha=spec.alpha,
         lower=y_t[rows, j_minus - 1] - y_c[rows, i_plus - 1],
         upper=y_t[rows, j_plus - 1] - y_c[rows, i_minus - 1],
-        flags={"slope_fallback": fallback, "clamped_index": clamped},
+        flags={"slope_fallback": fallback, "clamped_index": clamped | quad1.clamped},
     )
 
 
@@ -207,9 +207,9 @@ def two_step_ci(
     """Fast difference-in-quantile interval from four order statistics.
 
     Runs step 1, estimates slopes across the step-1 span, then recomputes
-    the indexes with the slope ratio. If slope estimation degenerates or
-    the step-2 indexes collapse, the step-1 quad is used instead and the
-    slope_fallback flag is set. The interval is
+    the indexes with the slope ratio. Under the module's fallback rule the
+    step-1 quad is used instead and the slope_fallback flag is set. The
+    interval is
 
         (y_t(j_minus) - y_c(i_plus), y_t(j_plus) - y_c(i_minus)).
     """

@@ -359,6 +359,15 @@ class TestTest:
             "rescale the samples\n"
         )
 
+    @pytest.mark.parametrize("d", ["-1e-3", "-2E+1", "-1_000.5", "-0.001", "-.5", "1e-3"])
+    def test_negative_d_in_any_float_spelling(self, capsys, sample_files, d):
+        c, t = sample_files
+        argv = ["test", "--control", c, "--treatment", t, "--q", "0.5"]
+        spaced = _run(capsys, [*argv, "--d", d])
+        joined = _run(capsys, [*argv, f"--d={d}"])
+        assert spaced == joined
+        assert spaced[0] == 0 and json.loads(spaced[1])["d"] == float(d)
+
     def test_consistency_error_exits_4(self, capsys, monkeypatch, sample_files):
         def broken(*args):
             raise ConsistencyError("likelihood ordering violated")

@@ -225,11 +225,14 @@ def _sample_text(draw):
 def _read_outcome(read, text, mode, skip_header, path):
     """The bits of the sorted values ``read`` returns, or the type and message it raises.
 
-    ``mode`` gives ``text`` as a path, a text stream, or stdin.
+    ``mode`` gives ``text`` as a path, a text stream, or stdin; ``"pipe"``
+    reads ``path`` as it is, where another thread writes ``text``.
     """
     stdin = contextlib.nullcontext()
     if mode == "path":
         path.write_bytes(text.encode("utf-8"))
+        source = str(path)
+    elif mode == "pipe":
         source = str(path)
     elif mode == "stream":
         source = io.StringIO(text)
@@ -270,6 +273,46 @@ class TestReadSampleCsvMatchesPerLineParser:
         want = _read_outcome(per_line_sample_csv, text, mode, skip_header, path)
         got = _read_outcome(read_sample_csv, text, mode, skip_header, path)
         assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestReadSampleCsvFromPipe:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=_sample_text(), skip_header=hst.booleans())
+    @example(text="value\n3\n1_000\n\u0661\n", skip_header=True)
+    @example(text="1\n\nx\n", skip_header=False)
+    @example(text="1\r2\n1e400\n", skip_header=False)
+    @example(text="", skip_header=False)
+    def test_same_sample_and_errors_as_the_regular_file(self, tmp_path, text, skip_header):
+        # One path, first a regular file and then a named pipe, so the
+        # error texts name the same file.
+        path = tmp_path / "sample.csv"
+        want = _read_outcome(read_sample_csv, text, "path", skip_header, path)
+        path.unlink()
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(text.encode("utf-8"),))
+        writer.start()
+        try:
+            got = _read_outcome(read_sample_csv, text, "pipe", skip_header, path)
+        finally:
+            writer.join(timeout=10)
+            path.unlink()
+        assert not writer.is_alive()
+        assert got == want
+
+    def test_well_formed_pipe_skips_per_line_parser(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(core, "_parse_value_lines", None)
+        writer = threading.Thread(target=fifo.write_text, args=("value\n3\n -1.5\t\n",))
+        writer.start()
+        try:
+            assert list(read_sample_csv(str(fifo), skip_header=True).values) == [-1.5, 3.0]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestMaxLikelihoodIndex:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from quantdiff import (
     LRStatistic,
@@ -158,6 +160,28 @@ class TestLRStatistic:
     def test_nonnegative_invariant(self):
         with pytest.raises(ConsistencyError):
             LRStatistic(value=-1e-3, i_star=1, j_star=1, exact=True)
+
+    @pytest.mark.parametrize("statistic", [lr_statistic_exact, lr_statistic_asymptotic])
+    @pytest.mark.parametrize("i, j", [(105, 5), (-3, 5), (101, 5), (50, 11), (50, -1)])
+    def test_counts_outside_the_sample_raise(self, statistic, i, j):
+        # (105, 5) and (-3, 5) once read the exact deficit at i = 100.
+        with pytest.raises(IndexOutOfRangeError):
+            statistic(i, j, QuantileSpec(0.5, 0.05), 100, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_c=hst.integers(1, 10**6),
+        n_t=hst.integers(1, 10**6),
+        q=hst.floats(0.001, 0.999),
+        u=hst.floats(0.0, 1.0),
+        v=hst.floats(0.0, 1.0),
+    )
+    @example(n_c=10**6, n_t=17, q=0.1674, u=0.1674, v=0.5)
+    def test_exact_value_is_the_sum_of_two_deficits(self, n_c, n_t, q, u, v):
+        i, j = round(u * n_c), round(v * n_t)
+        got = lr_statistic_exact(i, j, _spec(q), n_c, n_t).value
+        want = float(deficits(i, q, n_c) + deficits(j, q, n_t))
+        assert got.hex() == want.hex()
 
 
 class TestNormalQuantile:

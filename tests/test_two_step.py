@@ -1,10 +1,13 @@
 """Two-step index construction and the four-point interval."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hst
 
 from quantdiff import (
     IndexQuad,
@@ -17,6 +20,7 @@ from quantdiff import (
     two_step_ci,
 )
 from quantdiff.errors import DomainError, InsufficientSampleError
+from quantdiff.two_step import two_step_rows
 
 
 def _spec(q=0.5, alpha=0.05):
@@ -138,6 +142,12 @@ class TestStep2Indexes:
         with pytest.raises(InsufficientSampleError):
             step2_indexes(_spec(), 200, 200, SlopeEstimates(1e160, 1.0, False))
 
+    @pytest.mark.parametrize("m_c, m_t", [(math.inf, math.inf), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    def test_slopes_with_no_positive_ratio_raise_without_warnings(self, m_c, m_t):
+        # Two infinite slopes have a NaN ratio; a zero slope divides by zero.
+        with pytest.raises(DomainError):
+            step2_indexes(_spec(), 200, 200, SlopeEstimates(m_c, m_t, False))
+
     def test_rejects_fallback_and_bad_slopes(self):
         with pytest.raises(DomainError):
             step2_indexes(
@@ -236,3 +246,80 @@ class TestTwoStepCI:
             if two_step_ci(c, t, _spec()).contains(0.0):
                 hits += 1
         assert hits / reps > 0.9
+
+
+# Arms that reach every fallback path: ties, constant rows, spacing below
+# 1e-308 / n (whose slopes overflow to infinity) and scales near 1e+-300.
+_ARMS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+    "subnormal": lambda rng, n: rng.uniform(0.0, 1e-310, size=n),
+    "huge": lambda rng, n: rng.normal(size=n) * 1e300,
+    "tiny": lambda rng, n: rng.lognormal(size=n) * 1e-300,
+}
+
+
+def _composed_row(control, treatment, spec):
+    """Endpoints and flags of one row from the public steps, one pair at a time."""
+    quad1 = step1_indexes(spec, control.n, treatment.n)
+    slopes = estimate_slopes(control, treatment, quad1)
+    quad, fallback = quad1, slopes.fallback
+    if not fallback:
+        try:
+            quad = step2_indexes(spec, control.n, treatment.n, slopes)
+        except InsufficientSampleError:
+            quad, fallback = quad1, True
+    lower = treatment.order_stat(quad.j_minus) - control.order_stat(quad.i_plus)
+    upper = treatment.order_stat(quad.j_plus) - control.order_stat(quad.i_minus)
+    return lower.hex(), upper.hex(), fallback, quad1.clamped or quad.clamped
+
+
+class TestTwoStepRowsMatchPublicSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n_c=hst.integers(5, 300),
+        n_t=hst.integers(5, 300),
+        q=hst.floats(0.02, 0.98),
+        alpha=hst.sampled_from([0.1, 0.05, 0.01]),
+        kinds=hst.lists(hst.tuples(hst.sampled_from(list(_ARMS)), hst.sampled_from(list(_ARMS))),
+                        min_size=1, max_size=6),
+    )
+    @example(seed=0, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("subnormal", "subnormal")])
+    @example(seed=1, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("normal", "tiny")])
+    def test_endpoints_and_flags_bit_for_bit(self, seed, n_c, n_t, q, alpha, kinds):
+        spec = _spec(q=q, alpha=alpha)
+        try:
+            step1_indexes(spec, n_c, n_t)
+        except InsufficientSampleError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        y_c = np.sort([_ARMS[c](rng, n_c) for c, _ in kinds], axis=1)
+        y_t = np.sort([_ARMS[t](rng, n_t) for _, t in kinds], axis=1)
+        rows = two_step_rows(y_c, y_t, spec)
+        for r in range(len(kinds)):
+            want = _composed_row(ingest_sample(y_c[r]), ingest_sample(y_t[r]), spec)
+            got = (
+                rows.lower[r].hex(),
+                rows.upper[r].hex(),
+                bool(rows.flags["slope_fallback"][r]),
+                bool(rows.flags["clamped_index"][r]),
+            )
+            assert got == want, kinds[r]
+
+    def test_subnormal_spacing_falls_back_without_warnings(self):
+        # Both slopes overflow to infinity, so their ratio is NaN: a fallback,
+        # reported with no numpy warning, and refused by step 2.
+        rng = np.random.default_rng(3)
+        control = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
+        treatment = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
+        quad1 = step1_indexes(_spec(), 200, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slopes = estimate_slopes(control, treatment, quad1)
+            ci = two_step_ci(control, treatment, _spec())
+        assert slopes.fallback and math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
+        assert ci.flags == {"slope_fallback"}
+        assert ci.lower == treatment.order_stat(quad1.j_minus) - control.order_stat(quad1.i_plus)
+        assert ci.upper == treatment.order_stat(quad1.j_plus) - control.order_stat(quad1.i_minus)
