@@ -48,12 +48,16 @@ def _add_mode_args(sub: argparse.ArgumentParser) -> None:
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact",
-        action="store_true",
+        dest="use_exact",
+        action="store_const",
+        const=True,
         help="force the exact binomial statistic (default: exact when max(N) <= 10000)",
     )
     mode.add_argument(
         "--asymptotic",
-        action="store_true",
+        dest="use_exact",
+        action="store_const",
+        const=False,
         help="force the asymptotic chi-square statistic",
     )
 
@@ -118,14 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _use_exact(args: argparse.Namespace) -> bool | None:
-    if args.exact:
-        return True
-    if args.asymptotic:
-        return False
-    return None
-
-
 @contextlib.contextmanager
 def _open_output(path: str) -> Iterator[IO[str]]:
     if path == "-":
@@ -146,12 +142,11 @@ def cmd_ci(args: argparse.Namespace) -> int:
     control, treatment = _load_samples(args)
     spec = QuantileSpec(args.q, args.alpha)
     methods = select_methods(args.methods)
-    use_exact = _use_exact(args)
 
     records = []
     for method in methods:
         try:
-            ci = compute_ci(method, control, treatment, spec, use_exact)
+            ci = compute_ci(method, control, treatment, spec, args.use_exact)
         except EstimationError as exc:
             raise EstimationError(f"{method.value}: {exc}") from exc
         records.append(
@@ -172,21 +167,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
             for rec in records:
                 print(json.dumps(rec), file=out)
         else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["method", "lower", "upper", "alpha", "q", "n_c", "n_t", "flags"])
-            for rec in records:
-                writer.writerow(
-                    [
-                        rec["method"],
-                        rec["lower"],
-                        rec["upper"],
-                        rec["alpha"],
-                        rec["q"],
-                        rec["n_c"],
-                        rec["n_t"],
-                        ";".join(rec["flags"]),
-                    ]
-                )
+            writer = csv.DictWriter(out, fieldnames=records[0], lineterminator="\n")
+            writer.writeheader()
+            writer.writerows({**rec, "flags": ";".join(rec["flags"])} for rec in records)
     return 0
 
 
@@ -218,7 +201,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     else:
         raise ValidationError("provide --control/--treatment files or --n-c/--n-t sizes")
     spec = QuantileSpec(args.q, args.alpha)
-    grid = acceptance_grid(n_c, n_t, spec, _use_exact(args))
+    grid = acceptance_grid(n_c, n_t, spec, args.use_exact)
     with _open_output(args.output) as out:
         write_acceptance_grid_csv(grid, out)
     return 0

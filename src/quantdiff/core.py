@@ -101,7 +101,7 @@ class OrderedSample:
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NonFiniteValueError(f"non-finite value at sorted position {bad}")
-        if np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise ValidationError("sample values must be sorted ascending")
         object.__setattr__(self, "values", arr)
         arr.setflags(write=False)

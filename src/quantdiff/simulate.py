@@ -9,8 +9,10 @@ no matter how replications are scheduled.
 The study evaluates replications in blocks: consecutive replications'
 sorted draws form the rows of one (R, n_c) and one (R, n_t) array, and
 every method's endpoints and the LR decision come out of array operations
-over those rows, through the same code the one-pair functions run. Widths
-are summed in replication order, so parallel runs reproduce the
+over those rows, through the same code the one-pair functions run. A
+failed row is a non-finite endpoint, and a method that fails on a whole
+block gives each of its rows NaN endpoints. The study reduces all the
+endpoints once, in replication order, so parallel runs reproduce the
 sequential output exactly.
 """
 
@@ -411,34 +413,15 @@ def _evaluate_block(
     return intervals, lr_rejections(y_c, y_t, qspec, spec.true_delta)
 
 
-def _block_records(
-    spec: ScenarioSpec, methods: tuple[Method, ...], start: int, stop: int
-) -> tuple[list[tuple[int, int, list[float]]], int]:
-    """Per method, its failure count, containment count and the widths of
-    the rows that did not fail, in replication order; and the LR rejection
-    count. A row fails where either endpoint is not finite."""
-    intervals, rejections = _evaluate_block(spec, methods, start, stop)
-    d = spec.true_delta
-    records = []
-    for rows in intervals:
-        if rows is None:
-            records.append((stop - start, 0, []))
-        else:
-            scored = np.isfinite(rows.lower) & np.isfinite(rows.upper)
-            lower, upper = rows.lower[scored], rows.upper[scored]
-            contained = int(((lower <= d) & (d <= upper)).sum())
-            widths = (upper - lower).tolist()
-            records.append((stop - start - len(widths), contained, widths))
-    return records, int(rejections.sum())
-
-
 def run_coverage_study(
     spec: ScenarioSpec, methods: str | Iterable[Method | str], jobs: int = 1
 ) -> list[CoverageRow]:
     """Run the scenario and aggregate one CoverageRow per method.
 
-    Replications that raise an estimation error for a method count into
-    that method's ``failures`` and drop out of its coverage and width
+    A replication fails for a method where an endpoint is not finite: the
+    formula overflowed, or the method raised an estimation error on the
+    replication's whole block, whose rows then count as failures. Failures
+    count into ``failures`` and drop out of the coverage and width
     denominators. The LR-test rejection rate at d = true_delta is shared
     by all rows since the test is method-independent.
 
@@ -455,38 +438,44 @@ def run_coverage_study(
     stops = [min(start + chunk, spec.replications) for start in starts]
     workers = min(jobs, len(starts))
     if workers == 1:
-        results = list(map(_block_records, repeat(spec), repeat(method_tuple), starts, stops))
+        results = list(map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(_block_records, repeat(spec), repeat(method_tuple), starts, stops)
+                pool.map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops)
             )
 
-    reject_rate = sum(rejected for _, rejected in results) / spec.replications
+    reject_rate = sum(int(rejected.sum()) for _, rejected in results) / spec.replications
+    d = spec.true_delta
     rows = []
     for pos, method in enumerate(method_tuple):
-        failures = sum(records[pos][0] for records, _ in results)
-        contained = sum(records[pos][1] for records, _ in results)
-        widths = [width for records, _ in results for width in records[pos][2]]
+        # Each block's endpoints; NaN where the method raised on the block.
+        ends = np.concatenate(
+            [
+                np.full((2, len(rejected)), np.nan) if intervals[pos] is None
+                else (intervals[pos].lower, intervals[pos].upper)
+                for intervals, rejected in results
+            ],
+            axis=1,
+        )
+        scored = ends[:, np.isfinite(ends).all(axis=0)]
+        lower, upper = scored
+        successes = len(lower)
+        contained = int(((lower <= d) & (d <= upper)).sum())
         # A sequential sum in replication order, so the mean width does not
-        # depend on how the replications were split into blocks. Widths
-        # large enough for the sum to pass the float range are scaled down
-        # by a power of two first, which is exact for them; otherwise the
-        # scale is 1.
-        top = math.frexp(max(widths, default=0.0))[1]
-        scale = 2.0 ** -max(top + spec.replications.bit_length() - 1024, 0)
-        width_sum = 0.0
-        for width in widths:
-            width_sum += width * scale
-        successes = spec.replications - failures
+        # depend on how the replications were split into blocks. Where an
+        # endpoint is large enough for a width or the sum to pass the float
+        # range, every endpoint is scaled down by a power of two first, which
+        # changes no bit of the mean unless another endpoint is within that
+        # power of two of the subnormal range; otherwise the scale is 1.
+        top = math.frexp(np.abs(scored).max(initial=0.0))[1]
+        scale = 2.0 ** -max(top + spec.replications.bit_length() - 1023, 0)
+        coverage = mean_width = stderr = math.nan
         if successes > 0:
             coverage = contained / successes
-            mean_width = width_sum / successes / scale
+            widths = upper * scale - lower * scale
+            mean_width = float(np.add.accumulate(widths)[-1]) / successes / scale
             stderr = math.sqrt(coverage * (1.0 - coverage) / successes)
-        else:
-            coverage = math.nan
-            mean_width = math.nan
-            stderr = math.nan
         rows.append(
             CoverageRow(
                 method=method,
@@ -494,7 +483,7 @@ def run_coverage_study(
                 mean_width=mean_width,
                 reject_rate_at_true_d=reject_rate,
                 mc_stderr=stderr,
-                failures=failures,
+                failures=spec.replications - successes,
             )
         )
     return rows

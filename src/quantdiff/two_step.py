@@ -11,9 +11,10 @@ just four order statistics, two per sample. The squared slope ratio is
 an IEEE product (``np.square``); past the float range it is infinity,
 which collapses that step-2 band.
 
-One fallback rule: a row whose step-1 spacing is zero, whose two slopes
-overflow to infinity (no ratio) or whose step-2 quad collapses takes
-equal slopes, whose ratio 1.0 gives the step-1 quad bit for bit.
+One fallback rule: a row whose step-1 spacing is zero, whose spacing
+overflows to infinity (a slope of 0), whose two slopes overflow to
+infinity (no ratio) or whose step-2 quad collapses takes equal slopes,
+whose ratio 1.0 gives the step-1 quad bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class IndexQuad:
 class SlopeEstimates:
     """Finite-difference cdf slopes near the target quantile.
 
-    ``fallback`` is set when an estimate degenerated (a zero spacing, or
-    two infinite slopes with no ratio); m_c and m_t are NaN in that case
-    and callers revert to the equal-slope indexes.
+    ``fallback`` is set when an estimate degenerated (a zero spacing, a
+    spacing that overflows to infinity, or two infinite slopes with no
+    ratio); m_c and m_t are NaN in that case and callers revert to the
+    equal-slope indexes.
     """
 
     m_c: float
@@ -76,13 +78,15 @@ def _index_halfwidth(z: float, n_c: int, n_t: int, q: float, denom):
     return z * np.sqrt(n_c * n_t * q * (1.0 - q) / denom)
 
 
-def _quads(spec: QuantileSpec, n_c: int, n_t: int, ratio_c2: np.ndarray, ratio_t2: np.ndarray):
-    """Optimal indexes for arrays of squared slope ratios (m_c/m_t)^2 and (m_t/m_c)^2.
+def _quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndarray):
+    """Optimal indexes for arrays of positive slopes m_c and m_t with a ratio.
 
     Returns the index arrays (i_minus, i_plus, j_minus, j_plus) and the
     clamped and collapsed masks. Both steps run this one formula, so
-    ratios of 1.0 reproduce the step-1 indexes bit for bit.
+    equal slopes reproduce the step-1 indexes bit for bit.
     """
+    with np.errstate(over="ignore"):  # an infinite ratio or square collapses that band
+        ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
     z = normal_quantile(1.0 - spec.alpha / 2.0)
     hw_i = _index_halfwidth(z, n_c, n_t, spec.q, n_t + n_c * ratio_c2)
     hw_j = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t * ratio_t2)
@@ -90,19 +94,6 @@ def _quads(spec: QuantileSpec, n_c: int, n_t: int, ratio_c2: np.ndarray, ratio_t
     j_minus, j_plus, clamp_j = outward_index_bounds(n_t * spec.q, hw_j, n_t)
     collapsed = (i_minus == i_plus) | (j_minus == j_plus)
     return i_minus, i_plus, j_minus, j_plus, clamp_i | clamp_j, collapsed
-
-
-def _step2_quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndarray):
-    """:func:`_quads` for arrays of positive slope estimates whose ratio is a number."""
-    # An infinite ratio or square is a valid extreme; two infinite slopes have
-    # no ratio, and a zero or negative slope is refused below.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
-    bad = ~((m_c > 0.0) & (m_t > 0.0)) | np.isnan(ratio_c2)
-    if bad.any():
-        k = np.flatnonzero(bad)[0]
-        raise DomainError(f"slopes must be positive with a ratio, got ({m_c[k]}, {m_t[k]})")
-    return _quads(spec, n_c, n_t, ratio_c2, ratio_t2)
 
 
 def _one_quad(quads, n_c: int, n_t: int, q: float) -> IndexQuad:
@@ -130,15 +121,17 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
 def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
     """m_c, m_t and the fallback mask for each row pair of sorted blocks.
 
-    A row falls back where a spacing is zero or both slopes overflow to
-    infinity, so their ratio is NaN; its slopes are meaningless.
+    A row falls back where a spacing is zero, where a spacing overflows to
+    infinity so its slope is 0, or where both slopes overflow to infinity
+    and have no ratio; its slopes are meaningless.
     """
-    dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
-    dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
+        dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
         m_c = ((quad.i_plus - quad.i_minus) / y_c.shape[1]) / dy_c
         m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
-        return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0) | np.isnan(m_c / m_t)
+    no_ratio = (m_c == 0.0) | (m_t == 0.0) | np.isinf(m_c) & np.isinf(m_t)
+    return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0) | no_ratio
 
 
 def estimate_slopes(
@@ -147,9 +140,10 @@ def estimate_slopes(
     """Finite-difference cdf slopes across the step-1 index span.
 
     m_hat = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)). Tied
-    order statistics make a denominator zero and spacings below the float
-    range make both slopes infinite; both go to ``fallback``, not an
-    error, since ties are routine in rounded or discrete-valued data.
+    order statistics make a denominator zero, a spacing past the float
+    range makes its slope 0 and spacings below it make both slopes
+    infinite; all go to ``fallback``, not an error, since ties are routine
+    in rounded or discrete-valued data.
     """
     if quad.i_plus > control.n or quad.j_plus > treatment.n:
         raise DomainError(f"index quad {quad} outside the samples ({control.n}, {treatment.n})")
@@ -174,8 +168,10 @@ def step2_indexes(
         raise DomainError("sample sizes must be >= 1")
     if slopes.fallback:
         raise DomainError("step-2 indexes require non-degenerate slope estimates")
-    quads = _step2_quads(spec, n_c, n_t, np.array([slopes.m_c]), np.array([slopes.m_t]))
-    return _one_quad(quads, n_c, n_t, spec.q)
+    m_c, m_t = slopes.m_c, slopes.m_t
+    if not (m_c > 0.0 and m_t > 0.0) or math.isinf(m_c) and math.isinf(m_t):
+        raise DomainError(f"slopes must be positive with a ratio, got ({m_c}, {m_t})")
+    return _one_quad(_quads(spec, n_c, n_t, np.array([m_c]), np.array([m_t])), n_c, n_t, spec.q)
 
 
 @quiet_overflow
@@ -189,7 +185,7 @@ def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> Inter
     # quad, which never collapses; so the second pass is the last.
     for _ in range(2):
         slopes = np.where(fallback, 1.0, m_c), np.where(fallback, 1.0, m_t)
-        i_minus, i_plus, j_minus, j_plus, clamped, collapsed = _step2_quads(spec, n_c, n_t, *slopes)
+        i_minus, i_plus, j_minus, j_plus, clamped, collapsed = _quads(spec, n_c, n_t, *slopes)
         fallback = fallback | collapsed
     rows = np.arange(len(y_c))
     return IntervalRows(

@@ -5,8 +5,9 @@ binomial log-pmfs come from exact big-integer rationals or scipy, deficits
 at large n from a sum of pmf ratios, critical values from scipy, the
 region/line-search results from exhaustive scans with no windowing or span
 restriction, sample files from a plain per-line ``float()`` loop, the
-grid CSV from one f-string per cell over the grid's own deficits, and the
-Price-Bonett and Donner-Zou squares from exact rationals.
+grid CSV from one f-string per cell over the grid's own deficits, the
+Price-Bonett and Donner-Zou squares from exact rationals, and a coverage
+study's rows from a per-block tally summed one Python float at a time.
 """
 
 from __future__ import annotations
@@ -204,3 +205,45 @@ def per_cell_grid_csv(grid, stream) -> None:
                 ]
             )
         )
+
+
+def per_block_coverage_tally(blocks, methods, true_delta: float, replications: int):
+    """A study's coverage rows from its blocks' (intervals, rejections), block by block.
+
+    The reference for the reduction in ``run_coverage_study``. Per block
+    and method: a block where the method raised (None) fails every row;
+    otherwise a row with a non-finite endpoint fails, and the others add
+    their containment of ``true_delta`` and their endpoints, in
+    replication order. The widths are then summed one Python float at a
+    time, from endpoints scaled down by a power of two where a width or
+    the sum could pass the float range. Returns one (method, coverage,
+    mean_width, reject_rate, mc_stderr, failures) tuple per method.
+    """
+    reject_rate = sum(int(rejections.sum()) for _, rejections in blocks) / replications
+    rows = []
+    for pos, method in enumerate(methods):
+        failures, contained, pairs = 0, 0, []
+        for intervals, rejections in blocks:
+            if intervals[pos] is None:
+                failures += len(rejections)
+                continue
+            for lower, upper in zip(intervals[pos].lower.tolist(), intervals[pos].upper.tolist()):
+                if math.isfinite(lower) and math.isfinite(upper):
+                    contained += lower <= true_delta <= upper
+                    pairs.append((lower, upper))
+                else:
+                    failures += 1
+        successes = replications - failures
+        if successes == 0:
+            rows.append((method, math.nan, math.nan, reject_rate, math.nan, failures))
+            continue
+        top = math.frexp(max(abs(x) for pair in pairs for x in pair))[1]
+        scale = 2.0 ** -max(top + replications.bit_length() - 1023, 0)
+        width_sum = 0.0
+        for lower, upper in pairs:
+            width_sum += upper * scale - lower * scale
+        coverage = contained / successes
+        stderr = math.sqrt(coverage * (1.0 - coverage) / successes)
+        mean_width = width_sum / successes / scale
+        rows.append((method, coverage, mean_width, reject_rate, stderr, failures))
+    return rows

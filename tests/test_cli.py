@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 
 import quantdiff
-from quantdiff import QuantileSpec, acceptance_grid, conservative_ci, ingest_sample
-from quantdiff.cli import main
+from quantdiff import (
+    TWO_SAMPLE_METHODS,
+    QuantileSpec,
+    acceptance_grid,
+    conservative_ci,
+    ingest_sample,
+)
+from quantdiff.cli import build_parser, main
 from quantdiff.errors import ConsistencyError
 
 
@@ -37,6 +43,17 @@ def identical_files(tmp_path):
     t = tmp_path / "same_t.csv"
     c.write_text(values)
     t.write_text(values)
+    return str(c), str(t)
+
+
+@pytest.fixture
+def far_control_files(tmp_path):
+    """A control of 100 x -1e308 and 100 x 1e308, whose spacings pass the
+    float range, against 200 normal values."""
+    c = tmp_path / "far_c.csv"
+    t = tmp_path / "far_t.csv"
+    c.write_text("-1e308\n" * 100 + "1e308\n" * 100)
+    t.write_text("\n".join(map(repr, np.random.default_rng(0).normal(size=200).tolist())) + "\n")
     return str(c), str(t)
 
 
@@ -102,6 +119,45 @@ class TestCI:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["method", "lower", "upper", "alpha", "q", "n_c", "n_t", "flags"]
         assert len(rows) == 5
+
+    def test_csv_rows_are_the_json_records(self, capsys, sample_files):
+        c, t = sample_files
+        argv = ["ci", "--control", c, "--treatment", t, "--q", "0.5"]
+        _, out_json, _ = _run(capsys, argv)
+        _, out_csv, _ = _run(capsys, argv + ["--format", "csv"])
+        records = [json.loads(line) for line in out_json.splitlines()]
+        rows = list(csv.reader(io.StringIO(out_csv)))
+        assert rows[0] == list(records[0])
+        for rec, row in zip(records, rows[1:], strict=True):
+            assert row == [";".join(v) if k == "flags" else str(v) for k, v in rec.items()]
+
+    def test_exact_and_asymptotic_set_one_destination(self, capsys):
+        parser = build_parser()
+        argv = ["ci", "--control", "c.csv", "--treatment", "t.csv", "--q", "0.5"]
+        assert parser.parse_args(argv).use_exact is None
+        assert parser.parse_args([*argv, "--exact"]).use_exact is True
+        assert parser.parse_args([*argv, "--asymptotic"]).use_exact is False
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--exact", "--asymptotic"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --exact" in capsys.readouterr().err
+
+    def test_spacing_past_the_float_range_falls_back(self, capsys, far_control_files):
+        c, t = far_control_files
+        argv = ["ci", "--control", c, "--treatment", t, "--q", "0.5"]
+        code, out, err = _run(capsys, [*argv, "--methods", "lr_two_step"])
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["flags"] == ["slope_fallback"]
+        # The step-1 quad: y_t(j_minus) - 1e308 and y_t(j_plus) + 1e308.
+        assert (record["lower"], record["upper"]) == (-1e308, 1e308)
+        # Either way round, no method calls these valid files an input error.
+        for files in [(c, t), (t, c)]:
+            for method in TWO_SAMPLE_METHODS:
+                argv = ["ci", "--control", files[0], "--treatment", files[1], "--q", "0.5",
+                        "--methods", method.value]
+                code, _, err = _run(capsys, argv)
+                assert code in (0, 3) and (code == 0) == (err == ""), (files, method, err)
 
     def test_unknown_method_exits_2(self, capsys, sample_files):
         c, t = sample_files
@@ -298,6 +354,42 @@ class TestCI:
         )
         assert code == 0 and out == ""
         assert len(dest.read_text().splitlines()) == 4
+
+
+class TestNoWarningReachesAUser:
+    """numpy warnings raised outside pytest's process, where its filters do not reach."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["ci", "--methods", "lr_conservative,lr_two_step"], 0),
+            # price_bonnet's interval is [-inf, inf] on these files.
+            (["ci"], 3),
+            (["test", "--d", "0"], 0),
+            (["region"], 0),
+        ],
+    )
+    def test_python_w_error_on_values_spanning_the_float_range(
+        self, tmp_path, far_control_files, argv, code
+    ):
+        c, t = far_control_files
+        src = str(Path(quantdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "quantdiff.cli", *argv,
+             "--control", c, "--treatment", t, "--q", "0.5",
+             "--output", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.startswith("error: price_bonnet: interval [-inf, inf]")
+            assert proc.stderr.count("\n") == 1
 
 
 class TestTest:

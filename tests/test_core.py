@@ -97,6 +97,13 @@ class TestOrderedSample:
         with pytest.raises(ValidationError):
             OrderedSample(values=np.array([2.0, 1.0]), n=2)
 
+    def test_order_check_spanning_the_float_range(self):
+        # Neighbour differences would overflow; the check compares instead,
+        # with no numpy warning.
+        assert OrderedSample(np.array([-1e308, 1e308]), 2).n == 2
+        with pytest.raises(ValidationError):
+            OrderedSample(np.array([1e308, -1e308]), 2)
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValidationError):
             OrderedSample(values=np.array([1.0, 2.0]), n=3)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from oracles import per_block_coverage_tally
 
 from quantdiff import (
     COVERAGE_CSV_HEADER,
@@ -590,6 +592,20 @@ class TestChunking:
             exact = sum(Fraction(ci.width) for ci in cis) / len(cis)
             assert row.mean_width == pytest.approx(float(exact), rel=1e-12)
 
+    def test_width_past_the_float_range_leaves_a_finite_mean(self):
+        # Every endpoint is finite, but some widths pass the float range;
+        # their mean does not, and no numpy warning is raised on the way.
+        wide = Distribution.uniform(-8.5e307, 8.5e307)
+        spec = _scenario(dist_c=wide, dist_t=wide, n_c=4, n_t=4, q=0.9, replications=30,
+                         master_seed=3)
+        qspec = QuantileSpec(spec.q, spec.alpha)
+        cis = [compute_ci(Method.LR_TWO_STEP, *generate_pair(spec, r), qspec) for r in range(30)]
+        (row,) = run_coverage_study(spec, [Method.LR_TWO_STEP])
+        assert any(math.isinf(ci.width) for ci in cis) and row.failures == 0
+        exact = sum(Fraction(ci.upper) - Fraction(ci.lower) for ci in cis) / len(cis)
+        assert math.isfinite(row.mean_width)
+        assert row.mean_width == pytest.approx(float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("method", TWO_SAMPLE_METHODS)
     def test_block_with_an_overflowing_row(self, method):
         # Row 1's arms sit near -1e308 and +1e308, so its endpoints, or the
@@ -609,6 +625,64 @@ class TestChunking:
             assert rows.upper[r].hex() == ci.upper.hex()
         with pytest.raises(NumericOverflowError, match="overflows double precision"):
             compute_ci(method, *pairs[1], qspec)
+
+
+class TestReductionMatchesPerBlockTally:
+    """The study's one reduction over all endpoints against a per-block tally."""
+
+    # Whole-block failures (n of 1-3), rows whose endpoints overflow
+    # (lognormal near e^355) and widths whose sum passes the float range
+    # (uniform near +-8.5e307), beside plain arms.
+    _DISTS = [
+        Distribution.normal(0.0, 1.0),
+        Distribution.lognormal(355.0, 1.0),
+        Distribution.uniform(-8.5e307, 8.5e307),
+        Distribution.exponential(2.0),
+    ]
+
+    @staticmethod
+    def _assert_matches_tally(spec, jobs):
+        got = run_coverage_study(spec, "all", jobs=jobs)
+        # Blocks of random lengths, unrelated to the study's own split.
+        rng = np.random.default_rng(spec.master_seed)
+        cuts = np.unique(rng.integers(1, spec.replications + 1, size=3))
+        bounds = [0, *cuts[cuts < spec.replications].tolist(), spec.replications]
+        blocks = [
+            simulate._evaluate_block(spec, TWO_SAMPLE_METHODS, start, stop)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        want = per_block_coverage_tally(
+            blocks, TWO_SAMPLE_METHODS, spec.true_delta, spec.replications
+        )
+        # repr tells every float apart, and NaN equals NaN.
+        assert [repr(astuple(row)) for row in got] == [repr(row) for row in want], (spec, jobs)
+
+    def test_random_scenarios(self, monkeypatch, inline_pool):
+        rng = np.random.default_rng(14)
+        for case in range(60):
+            dist = self._DISTS[case % len(self._DISTS)]
+            tiny = case % 3 == 0
+            spec = _scenario(
+                dist_c=dist,
+                dist_t=dist,
+                n_c=int(rng.integers(1, 4)) if tiny else int(rng.integers(4, 40)),
+                n_t=int(rng.integers(1, 4)) if tiny else int(rng.integers(4, 40)),
+                q=float(rng.choice([0.1, 0.5, 0.9])),
+                replications=int(rng.integers(1, 40)),
+                master_seed=int(rng.integers(0, 2**63)),
+            )
+            rows = int(rng.integers(1, 8))
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (spec.n_c + spec.n_t) * rows)
+            self._assert_matches_tally(spec, jobs=int(rng.integers(1, 4)))
+
+    def test_worker_processes(self, monkeypatch):
+        # Two workers return whole blocks, failed methods included, by pickle.
+        spec = _scenario(
+            dist_c=Distribution.lognormal(355.0, 1.0), dist_t=Distribution.lognormal(355.0, 1.0),
+            n_c=3, n_t=40, replications=23,
+        )
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (3 + 40) * 5)
+        self._assert_matches_tally(spec, jobs=2)
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,26 @@ class TestEstimateSlopes:
         assert slopes.fallback
         assert math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
 
+    def test_caller_quad_with_equal_indexes_falls_back(self):
+        # i_minus == i_plus gives the slope 0 / 0, with no numpy warning.
+        slopes = estimate_slopes(UNIT_GRID_100, UNIT_GRID_100, IndexQuad(50, 50, 40, 60))
+        assert slopes.fallback
+        assert math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
+
+    def test_spacing_past_the_float_range_falls_back(self):
+        # The control's step-1 spacing 1e308 - (-1e308) overflows to
+        # infinity, so its slope is 0 and has no usable ratio.
+        control = ingest_sample([-1e308] * 100 + [1e308] * 100)
+        treatment = ingest_sample(np.random.default_rng(0).normal(size=200))
+        quad1 = step1_indexes(_spec(), 200, 200)
+        slopes = estimate_slopes(control, treatment, quad1)
+        assert slopes.fallback and math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
+        for c, t in [(control, treatment), (treatment, control)]:
+            ci = two_step_ci(c, t, _spec())
+            assert ci.flags == {"slope_fallback"}
+            assert ci.lower == t.order_stat(quad1.j_minus) - c.order_stat(quad1.i_plus)
+            assert ci.upper == t.order_stat(quad1.j_plus) - c.order_stat(quad1.i_minus)
+
 
 class TestStep2Indexes:
     def test_equal_slopes_reduce_to_step1(self):
@@ -142,9 +162,13 @@ class TestStep2Indexes:
         with pytest.raises(InsufficientSampleError):
             step2_indexes(_spec(), 200, 200, SlopeEstimates(1e160, 1.0, False))
 
-    @pytest.mark.parametrize("m_c, m_t", [(math.inf, math.inf), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "m_c, m_t",
+        [(math.inf, math.inf), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, -2.0), (math.nan, 1.0)],
+    )
     def test_slopes_with_no_positive_ratio_raise_without_warnings(self, m_c, m_t):
-        # Two infinite slopes have a NaN ratio; a zero slope divides by zero.
+        # Two infinite slopes have a NaN ratio; a zero, negative or NaN slope
+        # is not positive.
         with pytest.raises(DomainError):
             step2_indexes(_spec(), 200, 200, SlopeEstimates(m_c, m_t, False))
 
@@ -249,7 +273,8 @@ class TestTwoStepCI:
 
 
 # Arms that reach every fallback path: ties, constant rows, spacing below
-# 1e-308 / n (whose slopes overflow to infinity) and scales near 1e+-300.
+# 1e-308 / n (whose slopes overflow to infinity), spacing past the float
+# range (whose slope is 0) and scales near 1e+-300.
 _ARMS = {
     "normal": lambda rng, n: rng.normal(size=n),
     "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
@@ -257,6 +282,7 @@ _ARMS = {
     "subnormal": lambda rng, n: rng.uniform(0.0, 1e-310, size=n),
     "huge": lambda rng, n: rng.normal(size=n) * 1e300,
     "tiny": lambda rng, n: rng.lognormal(size=n) * 1e-300,
+    "far": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * rng.uniform(9e307, 1.7e308, size=n),
 }
 
 
@@ -288,6 +314,7 @@ class TestTwoStepRowsMatchPublicSteps:
     )
     @example(seed=0, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("subnormal", "subnormal")])
     @example(seed=1, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("normal", "tiny")])
+    @example(seed=2, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("far", "normal"), ("far", "far")])
     def test_endpoints_and_flags_bit_for_bit(self, seed, n_c, n_t, q, alpha, kinds):
         spec = _spec(q=q, alpha=alpha)
         try:
