@@ -37,7 +37,6 @@ from .region import (
     LRTestResult,
     acceptance_grid,
     conservative_ci,
-    constrained_max_indexes,
     lr_test,
     write_acceptance_grid_csv,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "chi2_sf_1df",
     "LRTestResult",
     "AcceptanceGrid",
-    "constrained_max_indexes",
     "lr_test",
     "conservative_ci",
     "acceptance_grid",

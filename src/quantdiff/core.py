@@ -20,7 +20,6 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     DomainError,
     EmptySampleError,
     NonFiniteValueError,
@@ -83,12 +82,11 @@ class OrderedSample:
     """A validated sample stored in ascending order.
 
     Construct via :func:`ingest_sample` (which sorts) or directly from
-    already-sorted values. All values must be finite and ``n`` must equal
-    the number of stored values.
+    already-sorted values, all finite. ``n`` is the number of values.
     """
 
     values: np.ndarray
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -96,14 +94,13 @@ class OrderedSample:
             raise ValidationError("sample values must be one-dimensional")
         if arr.size == 0:
             raise EmptySampleError("sample must contain at least one value")
-        if self.n != arr.size:
-            raise ValidationError(f"n={self.n} does not match {arr.size} stored values")
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NonFiniteValueError(f"non-finite value at sorted position {bad}")
         if np.any(arr[1:] < arr[:-1]):
             raise ValidationError("sample values must be sorted ascending")
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "n", arr.size)
         arr.setflags(write=False)
 
     def order_stat(self, k: int) -> float:
@@ -135,13 +132,11 @@ def ingest_sample(raw_values: Iterable[float]) -> OrderedSample:
         raise ValidationError(f"sample values must be numeric: {exc}") from exc
     if arr.ndim != 1:
         raise ValidationError("sample values must be one-dimensional")
-    if arr.size == 0:
-        raise EmptySampleError("sample must contain at least one value")
     finite = np.isfinite(arr)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteValueError(f"non-finite value {arr[bad]!r} at input index {bad}")
-    return OrderedSample(values=np.sort(arr), n=int(arr.size))
+    return OrderedSample(np.sort(arr))
 
 
 def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> OrderedSample:
@@ -321,12 +316,6 @@ class ConfidenceInterval:
     flags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.method, Method):
-            raise ValidationError(f"unknown method tag {self.method!r}")
-        if self.lower > self.upper:
-            raise ConsistencyError(
-                f"interval bounds out of order: ({self.lower}, {self.upper})"
-            )
         object.__setattr__(self, "flags", frozenset(self.flags))
 
     @property

@@ -153,10 +153,6 @@ class LRStatistic:
     j_star: int
     exact: bool
 
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ConsistencyError(f"LR statistic must be >= 0, got {self.value}")
-
 
 def deficits(counts, q: float, n: int):
     """Deficit g(k) = -2 (log h(k|q,n) - log h(mode|q,n)) of each count, zero at the mode.

@@ -35,7 +35,7 @@ from .core import (
     max_likelihood_index,
     quiet_overflow,
 )
-from .errors import ConsistencyError, DegenerateRegionError, NumericOverflowError, ValidationError
+from .errors import DegenerateRegionError, NumericOverflowError, ValidationError
 from .likelihood import asymptotic_deficit, chi2_quantile_1df, chi2_sf_1df, deficits
 
 
@@ -48,12 +48,6 @@ class LRTestResult:
     p_value: float
     i_star: int
     j_star: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_value <= 1.0):
-            raise ConsistencyError(f"p-value {self.p_value} outside [0, 1]")
-        if self.statistic == 0.0 and abs(self.p_value - 1.0) > 1e-9:
-            raise ConsistencyError("zero statistic must give p-value 1")
 
     def rejects_at(self, alpha: float) -> bool:
         return self.statistic >= chi2_quantile_1df(alpha)
@@ -147,8 +141,6 @@ def _constrained_max_rows(
     (i, j), which is the first maximum in ascending tau since both counts
     grow with tau. H is the winning score.
     """
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"q must lie in (0, 1), got {q!r}")
     if not math.isfinite(d):
         raise ValidationError(f"shift d must be finite, got {d!r}")
     with np.errstate(over="ignore"):
@@ -203,20 +195,6 @@ def _constrained_max_rows(
     return i_star, j_star, h
 
 
-def constrained_max_indexes(
-    control: OrderedSample, treatment: OrderedSample, q: float, d: float
-) -> tuple[int, int]:
-    """Counts (i*, j*) maximizing h(i|q,N_c) * h(j|q,N_t) under the shift d.
-
-    i and j are linked through tau: i counts control values below tau and
-    j counts treatment values below tau + d. Ties in likelihood resolve to
-    the candidate with the smallest i (then smallest j): the first maximum
-    in ascending tau.
-    """
-    i, j, _ = _constrained_max_rows(control.values[None], treatment.values[None], q, d)
-    return int(i[0]), int(j[0])
-
-
 def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
     """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted blocks."""
     return _constrained_max_rows(y_c, y_t, spec.q, d)[2] >= chi2_quantile_1df(spec.alpha)
@@ -228,9 +206,12 @@ def lr_test(
     """LR test of the hypothesis that the treatment q-quantile exceeds the
     control q-quantile by exactly d.
 
-    The statistic is the exact H at the constrained maximizer; under the
-    null it is asymptotically chi-square with one degree of freedom, so
-    the p-value is that distribution's tail beyond the statistic.
+    The statistic is the exact H at the constrained maximizer (i*, j*),
+    where i counts control values below tau and j treatment values below
+    tau + d; likelihood ties go to the smallest (i, j), the first maximum
+    in ascending tau. Under the null H is asymptotically chi-square with
+    one degree of freedom, so the p-value is that distribution's tail
+    beyond the statistic.
     """
     i, j, h = _constrained_max_rows(control.values[None], treatment.values[None], spec.q, d)
     statistic = float(h[0])
@@ -301,9 +282,10 @@ def conservative_rows(
     y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, use_exact: bool | None = None
 ) -> IntervalRows:
     """:func:`conservative_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
-    region = _region(y_c.shape[1], y_t.shape[1], spec, use_exact)
+    n_c, n_t = y_c.shape[1], y_t.shape[1]
+    region = _region(n_c, n_t, spec, use_exact)
     i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
-    clamped = bool((i == 0).any() or (j_first == 0).any())
+    clamped = bool(((i == 0) | (j_first == 0) | (i == n_c) | (j_last == n_t)).any())
     j_first = np.maximum(j_first, 1)
     usable = (i > 0) & (j_first <= j_last)
     if not usable.any():
@@ -336,7 +318,10 @@ def conservative_ci(
     The interval is (min, max) of y_t(j) - y_c(i) over all index pairs
     with H(i, j) strictly below the chi-square critical value. Accepted
     pairs touching index 0 carry no order statistic; they are excluded
-    from the extremes and reported through the clamped_index flag.
+    from the extremes and reported through the clamped_index flag. The
+    flag is also set where an accepted pair has i = n_c or j = n_t. An
+    edge pair is reachable, so the LR test accepts, for every d far
+    enough to one side; the endpoints are not moved.
 
     ``use_exact=None`` picks the exact statistic when both samples have
     at most 10,000 values and the asymptotic form above that.

@@ -330,7 +330,7 @@ def generate_pair(
             f"replication index {replication_index} outside [0, {spec.replications})"
         )
     y_c, y_t = _draw_block(spec, replication_index, replication_index + 1)
-    return OrderedSample(y_c[0], spec.n_c), OrderedSample(y_t[0], spec.n_t)
+    return OrderedSample(y_c[0]), OrderedSample(y_t[0])
 
 
 # Each method's interval for one sample pair, and for the rows of two

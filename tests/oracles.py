@@ -6,8 +6,9 @@ at large n from a sum of pmf ratios, critical values from scipy, the
 region/line-search results from exhaustive scans with no windowing or span
 restriction, sample files from a plain per-line ``float()`` loop, the
 grid CSV from one f-string per cell over the grid's own deficits, the
-Price-Bonett and Donner-Zou squares from exact rationals, and a coverage
-study's rows from a per-block tally summed one Python float at a time.
+Price-Bonett and Donner-Zou squares from exact rationals at a power-of-two
+scale found by doubling, and a coverage study's rows from a per-block
+tally summed one Python float at a time.
 """
 
 from __future__ import annotations
@@ -76,27 +77,40 @@ def rounded_square(x: float) -> float:
         return math.inf
 
 
+def root_sum_square(a: float, b: float) -> float:
+    """sqrt(a^2 + b^2) with both squares from :func:`rounded_square`, taken at 2^k scale.
+
+    k >= 0 is the least exponent that lifts a nonzero max(|a|, |b|) to at
+    least 1/2; the root is divided by 2^k as an exact rational, rounded once.
+    """
+    largest, k = max(abs(a), abs(b)), 0
+    while 0 < math.ldexp(largest, k) < 0.5:
+        k += 1
+    root = math.sqrt(rounded_square(math.ldexp(a, k)) + rounded_square(math.ldexp(b, k)))
+    return float(Fraction(root) / 2**k) if k else root
+
+
 def price_bonnet_endpoints(b_c, b_t, tau_c: float, tau_t: float, z: float):
     """Price-Bonett (lower, upper) from one-sample bounds, point estimates and z.
 
-    Var = ((u - l) / (2 z))^2 per arm; the squares come from
-    :func:`rounded_square`, every other step is one rounded float operation.
+    Var = ((u - l) / (2 z))^2 per arm, combined by :func:`root_sum_square`;
+    every other step is one rounded float operation.
     """
-    var_c = rounded_square((b_c.upper - b_c.lower) / (2.0 * z))
-    var_t = rounded_square((b_t.upper - b_t.lower) / (2.0 * z))
-    diff, halfwidth = tau_t - tau_c, z * math.sqrt(var_t + var_c)
+    sd_c = (b_c.upper - b_c.lower) / (2.0 * z)
+    sd_t = (b_t.upper - b_t.lower) / (2.0 * z)
+    diff, halfwidth = tau_t - tau_c, z * root_sum_square(sd_t, sd_c)
     return diff - halfwidth, diff + halfwidth
 
 
 def donner_zou_endpoints(b_c, b_t, tau_c: float, tau_t: float):
     """Donner-Zou (lower, upper) from one-sample bounds and point estimates.
 
-    The MOVER root of each endpoint's two tail distances, squared by
-    :func:`rounded_square`.
+    The MOVER root of each endpoint's two tail distances, by
+    :func:`root_sum_square`.
     """
     diff = tau_t - tau_c
-    lower = diff - math.sqrt(rounded_square(tau_t - b_t.lower) + rounded_square(b_c.upper - tau_c))
-    upper = diff + math.sqrt(rounded_square(b_t.upper - tau_t) + rounded_square(tau_c - b_c.lower))
+    lower = diff - root_sum_square(tau_t - b_t.lower, b_c.upper - tau_c)
+    upper = diff + root_sum_square(b_t.upper - tau_t, tau_c - b_c.lower)
     return lower, upper
 
 
@@ -116,7 +130,10 @@ def full_grid_conservative(
     g_c = deficits(q, n_c)
     g_t = deficits(q, n_t)
     accepted = (g_c[:, None] + g_t[None, :]) < threshold
-    clamped = bool(accepted[0, :].any() or accepted[:, 0].any())
+    # An accepted pair at a sample edge: index 0 carries no order
+    # statistic, and at i = n_c or j = n_t the test accepts d beyond the
+    # interval.
+    clamped = bool(accepted[[0, -1], :].any() or accepted[:, [0, -1]].any())
     usable = accepted.copy()
     usable[0, :] = False
     usable[:, 0] = False

@@ -359,6 +359,18 @@ class TestCI:
 class TestNoWarningReachesAUser:
     """numpy warnings raised outside pytest's process, where its filters do not reach."""
 
+    @staticmethod
+    def _run_w_error(argv):
+        src = str(Path(quantdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "quantdiff.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -373,16 +385,9 @@ class TestNoWarningReachesAUser:
         self, tmp_path, far_control_files, argv, code
     ):
         c, t = far_control_files
-        src = str(Path(quantdiff.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "quantdiff.cli", *argv,
-             "--control", c, "--treatment", t, "--q", "0.5",
-             "--output", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
+        proc = self._run_w_error(
+            [*argv, "--control", c, "--treatment", t, "--q", "0.5",
+             "--output", str(tmp_path / "out")]
         )
         assert proc.returncode == code, proc.stderr
         if code == 0:
@@ -390,6 +395,22 @@ class TestNoWarningReachesAUser:
         else:
             assert proc.stderr.startswith("error: price_bonnet: interval [-inf, inf]")
             assert proc.stderr.count("\n") == 1
+
+    # Subnormal arms, whose one-sample spreads square to below the float
+    # range, and arms whose widths sum past it.
+    @pytest.mark.parametrize("dist", ["normal(0,1e-310)", "uniform(-8.5e307,8.5e307)"])
+    def test_python_w_error_on_simulate(self, dist):
+        proc = self._run_w_error(
+            ["simulate", "--dist-c", dist, "--dist-t", dist, "--n-c", "50", "--n-t", "50",
+             "--q", "0.5", "--replications", "200"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if dist.startswith("normal"):
+            rows = {row["method"]: row for row in csv.DictReader(io.StringIO(proc.stdout))}
+            for method in ("price_bonnet", "donner_zou"):
+                assert rows[method]["failures"] == "0"
+                assert float(rows[method]["mean_width"]) > 0.0
 
 
 class TestTest:

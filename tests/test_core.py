@@ -28,7 +28,6 @@ from quantdiff import (
 from quantdiff import core
 from quantdiff.core import outward_index_bounds
 from quantdiff.errors import (
-    ConsistencyError,
     DomainError,
     EmptySampleError,
     NonFiniteValueError,
@@ -95,18 +94,14 @@ class TestIngestSample:
 class TestOrderedSample:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
-            OrderedSample(values=np.array([2.0, 1.0]), n=2)
+            OrderedSample(np.array([2.0, 1.0]))
 
     def test_order_check_spanning_the_float_range(self):
         # Neighbour differences would overflow; the check compares instead,
         # with no numpy warning.
-        assert OrderedSample(np.array([-1e308, 1e308]), 2).n == 2
+        assert OrderedSample(np.array([-1e308, 1e308])).n == 2
         with pytest.raises(ValidationError):
-            OrderedSample(np.array([1e308, -1e308]), 2)
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            OrderedSample(values=np.array([1.0, 2.0]), n=3)
+            OrderedSample(np.array([1e308, -1e308]))
 
     def test_values_read_only(self):
         s = ingest_sample([1.0, 2.0])
@@ -417,14 +412,6 @@ class TestQuantileSpec:
 
 
 class TestConfidenceInterval:
-    def test_ordering_enforced(self):
-        with pytest.raises(ConsistencyError):
-            ConfidenceInterval(1.0, 0.0, 0.05, Method.LR_TWO_STEP)
-
-    def test_method_enforced(self):
-        with pytest.raises(ValidationError):
-            ConfidenceInterval(0.0, 1.0, 0.05, "bootstrap")
-
     def test_width_and_contains(self):
         ci = ConfidenceInterval(-1.0, 3.0, 0.05, Method.DONNER_ZOU)
         assert ci.width == 4.0

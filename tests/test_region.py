@@ -15,7 +15,6 @@ from quantdiff import (
     QuantileSpec,
     acceptance_grid,
     conservative_ci,
-    constrained_max_indexes,
     ingest_sample,
     lr_statistic_asymptotic,
     lr_test,
@@ -36,6 +35,12 @@ GRID_101 = ingest_sample(np.arange(1.0, 102.0))
 
 def _spec(q=0.5, alpha=0.05):
     return QuantileSpec(q=q, alpha=alpha)
+
+
+def constrained_max_indexes(control, treatment, q, d):
+    """The LR test's constrained maximizer (i*, j*) at quantile q and shift d."""
+    result = lr_test(control, treatment, _spec(q=q), d)
+    return result.i_star, result.j_star
 
 
 class TestConstrainedMaxIndexes:
@@ -133,7 +138,7 @@ class TestConstrainedMaxIndexes:
             i, j, h = region._constrained_max_rows(y_c, y_t, spec.q, d)
             rejects = region.lr_rejections(y_c, y_t, spec, d)
             for r in range(rows):
-                control, treatment = OrderedSample(y_c[r], n_c), OrderedSample(y_t[r], n_t)
+                control, treatment = OrderedSample(y_c[r]), OrderedSample(y_t[r])
                 got = (i[r], j[r])
                 assert got == constrained_max_indexes(control, treatment, spec.q, d), (trial, r)
                 want = lr_test(control, treatment, spec, d)
@@ -321,6 +326,22 @@ class TestConservativeCI:
         assert "clamped_index" in ci.flags
         want = full_grid_conservative(y_c, y_t, 0.1, 0.05)
         assert (ci.lower, ci.upper) == (want[0], want[1])
+
+    def test_clamped_flag_at_the_upper_sample_edge(self):
+        # At n = 200 per arm and q = 0.99 the region accepts j = n_t, where
+        # y_t(n_t + 1) does not exist: the test accepts every d past the
+        # interval's upper end. The flag says so; the endpoints stay the
+        # paper's, and at q = 0.5 a far d is rejected with no flag.
+        rng = np.random.default_rng(11)
+        y_c, y_t = np.sort(rng.normal(size=200)), np.sort(rng.normal(size=200))
+        control, treatment = ingest_sample(y_c), ingest_sample(y_t)
+        ci = conservative_ci(control, treatment, _spec(q=0.99))
+        assert "clamped_index" in ci.flags
+        assert (ci.lower, ci.upper, True) == full_grid_conservative(y_c, y_t, 0.99, 0.05)
+        assert not lr_test(control, treatment, _spec(q=0.99), ci.upper + 1e6).rejects_at(0.05)
+        mid = conservative_ci(control, treatment, _spec())
+        assert not mid.flags
+        assert lr_test(control, treatment, _spec(), mid.upper + 1e6).rejects_at(0.05)
 
     def test_degenerate_region(self):
         one = ingest_sample([1.0])

@@ -618,7 +618,7 @@ class TestChunking:
         qspec = QuantileSpec(0.5, 0.05)
         rows = simulate._METHODS[method][1](y_c, y_t, qspec)
         assert not (np.isfinite(rows.lower[1]) and np.isfinite(rows.upper[1]))
-        pairs = [(OrderedSample(y_c[r], 30), OrderedSample(y_t[r], 30)) for r in range(3)]
+        pairs = [(OrderedSample(y_c[r]), OrderedSample(y_t[r])) for r in range(3)]
         for r in (0, 2):
             ci = compute_ci(method, *pairs[r], qspec)
             assert rows.lower[r].hex() == ci.lower.hex()
