@@ -10,7 +10,7 @@ Monte Carlo harness for coverage studies.
 __version__ = "0.1.0"
 
 from . import errors
-from .baselines import OneSampleBounds, donner_zou_ci, one_sample_ci, price_bonnet_ci
+from .baselines import donner_zou_ci, price_bonnet_ci
 from .core import (
     TWO_SAMPLE_METHODS,
     ConfidenceInterval,
@@ -19,7 +19,6 @@ from .core import (
     QuantileSpec,
     ingest_sample,
     max_likelihood_index,
-    outward_index_interval,
     quantile_point_estimate,
     read_sample_csv,
 )
@@ -52,14 +51,7 @@ from .simulate import (
     true_quantile,
     write_coverage_csv,
 )
-from .two_step import (
-    IndexQuad,
-    SlopeEstimates,
-    estimate_slopes,
-    step1_indexes,
-    step2_indexes,
-    two_step_ci,
-)
+from .two_step import IndexQuad, step1_indexes, two_step_ci
 
 __all__ = [
     "__version__",
@@ -73,7 +65,6 @@ __all__ = [
     "read_sample_csv",
     "max_likelihood_index",
     "quantile_point_estimate",
-    "outward_index_interval",
     "LRStatistic",
     "log_binomial_pmf",
     "lr_statistic_exact",
@@ -88,13 +79,8 @@ __all__ = [
     "acceptance_grid",
     "write_acceptance_grid_csv",
     "IndexQuad",
-    "SlopeEstimates",
     "step1_indexes",
-    "estimate_slopes",
-    "step2_indexes",
     "two_step_ci",
-    "OneSampleBounds",
-    "one_sample_ci",
     "price_bonnet_ci",
     "donner_zou_ci",
     "DistFamily",

@@ -19,7 +19,6 @@ to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,51 +28,22 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
-    outward_index_interval,
+    outward_index_bounds,
     point_estimates,
     quiet_overflow,
 )
 from .errors import InsufficientSampleError
-from .likelihood import normal_quantile
+from .likelihood import two_sided_z
 
 
-@dataclass(frozen=True)
-class OneSampleBounds:
-    """Order-statistic quantile CI for a single sample."""
-
-    lower: float
-    upper: float
-    lower_index: int
-    upper_index: int
-    clamped: bool = False
-
-
-def _one_sample_indexes(n: int, spec: QuantileSpec) -> tuple[int, int, bool]:
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
-    halfwidth = z * math.sqrt(n * spec.q * (1.0 - spec.q))
-    lo_idx, hi_idx, clamped = outward_index_interval(n * spec.q, halfwidth, n)
+def _one_sample_indexes(n: int, spec: QuantileSpec):
+    halfwidth = two_sided_z(spec.alpha) * math.sqrt(n * spec.q * (1.0 - spec.q))
+    lo_idx, hi_idx, clamped = outward_index_bounds(n * spec.q, halfwidth, n)
     if lo_idx == hi_idx:
         raise InsufficientSampleError(
             f"one-sample index interval collapsed (n={n}, q={spec.q}, alpha={spec.alpha})"
         )
     return lo_idx, hi_idx, clamped
-
-
-def one_sample_ci(sample: OrderedSample, spec: QuantileSpec) -> OneSampleBounds:
-    """Distribution-free CI for the q-quantile of one sample.
-
-    Fractional indexes N q +/- z sqrt(N q (1-q)) are rounded outward and
-    clamped into [1, N]; the bounds are the order statistics at the
-    resulting indexes.
-    """
-    lo_idx, hi_idx, clamped = _one_sample_indexes(sample.n, spec)
-    return OneSampleBounds(
-        lower=sample.order_stat(lo_idx),
-        upper=sample.order_stat(hi_idx),
-        lower_index=lo_idx,
-        upper_index=hi_idx,
-        clamped=clamped,
-    )
 
 
 def _one_sample_rows(y: np.ndarray, spec: QuantileSpec):
@@ -102,7 +72,7 @@ def _interval_rows(method: Method, spec: QuantileSpec, lower, upper, clamped: bo
 @quiet_overflow
 def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`price_bonnet_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
+    z = two_sided_z(spec.alpha)
     lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
     lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
     diff = point_estimates(y_t, spec.q) - point_estimates(y_c, spec.q)

@@ -285,20 +285,15 @@ def point_estimates(rows: np.ndarray, q: float) -> np.ndarray:
     return 0.5 * (rows[:, k - 1] + rows[:, k])
 
 
-def outward_index_interval(center: float, halfwidth: float, n: int) -> tuple[int, int, bool]:
-    """Round a fractional index interval outward and clamp into [1, n].
-
-    Returns ``(lower, upper, clamped)`` where ``clamped`` is True when
-    either rounded endpoint fell outside [1, n]. Outward rounding (floor
-    the lower endpoint, ceil the upper) can only widen the interval, so
-    nominal coverage is preserved up to the clamp.
-    """
-    lo, hi, clamped = outward_index_bounds(center, halfwidth, n)
-    return int(lo), int(hi), bool(clamped)
-
-
 def outward_index_bounds(center: float, halfwidth, n: int):
-    """:func:`outward_index_interval` elementwise over an array of halfwidths."""
+    """Round fractional index intervals outward and clamp into [1, n].
+
+    ``halfwidth`` is a float or an array. Returns ``(lower, upper,
+    clamped)`` elementwise, where ``clamped`` is True when either rounded
+    endpoint fell outside [1, n]. Outward rounding (floor the lower
+    endpoint, ceil the upper) can only widen the interval, so nominal
+    coverage is preserved up to the clamp.
+    """
     lo = np.floor(center - halfwidth)
     hi = np.ceil(center + halfwidth)
     clamped = (lo < 1) | (hi > n)

@@ -286,6 +286,11 @@ def normal_quantile(p: float) -> float:
     return x
 
 
+def two_sided_z(alpha: float) -> float:
+    """The two-sided critical value: the standard normal quantile at 1 - alpha/2."""
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
 def chi2_quantile_1df(alpha: float) -> float:
     """Upper-alpha critical value of chi-square with one degree of freedom.
 
@@ -294,7 +299,7 @@ def chi2_quantile_1df(alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = two_sided_z(alpha)
     return z * z
 
 

@@ -9,7 +9,8 @@ step 1 assumes equal slopes, step 2 plugs in finite-difference slope
 estimates read off the step-1 order statistics. The final interval uses
 just four order statistics, two per sample. The squared slope ratio is
 an IEEE product (``np.square``); past the float range it is infinity,
-which collapses that step-2 band.
+which gives that step-2 band zero halfwidth: it collapses where N q is an
+integer and is one index wide otherwise.
 
 One fallback rule: a row whose step-1 spacing is zero, whose spacing
 overflows to infinity (a slope of 0), whose two slopes overflow to
@@ -19,7 +20,6 @@ whose ratio 1.0 gives the step-1 quad bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ from .core import (
     quiet_overflow,
 )
 from .errors import DomainError, InsufficientSampleError
-from .likelihood import normal_quantile
+from .likelihood import two_sided_z
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,6 @@ class IndexQuad:
     j_plus: int
     clamped: bool = False
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.i_minus <= self.i_plus):
-            raise DomainError(f"bad i indexes ({self.i_minus}, {self.i_plus})")
-        if not (1 <= self.j_minus <= self.j_plus):
-            raise DomainError(f"bad j indexes ({self.j_minus}, {self.j_plus})")
-
-
-@dataclass(frozen=True)
-class SlopeEstimates:
-    """Finite-difference cdf slopes near the target quantile.
-
-    ``fallback`` is set when an estimate degenerated (a zero spacing, a
-    spacing that overflows to infinity, or two infinite slopes with no
-    ratio); m_c and m_t are NaN in that case and callers revert to the
-    equal-slope indexes.
-    """
-
-    m_c: float
-    m_t: float
-    fallback: bool
-
 
 def _index_halfwidth(z: float, n_c: int, n_t: int, q: float, denom):
     return z * np.sqrt(n_c * n_t * q * (1.0 - q) / denom)
@@ -81,29 +60,24 @@ def _index_halfwidth(z: float, n_c: int, n_t: int, q: float, denom):
 def _quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndarray):
     """Optimal indexes for arrays of positive slopes m_c and m_t with a ratio.
 
-    Returns the index arrays (i_minus, i_plus, j_minus, j_plus) and the
-    clamped and collapsed masks. Both steps run this one formula, so
-    equal slopes reproduce the step-1 indexes bit for bit.
+    i = n_c q +/- z sqrt(n_c n_t q(1-q) / (n_t + n_c (m_c/m_t)^2))
+    j = n_t q +/- z sqrt(n_c n_t q(1-q) / (n_c + n_t (m_t/m_c)^2))
+
+    A large m_c/m_t means the control quantile is pinned down precisely,
+    so the variance budget shifts toward the treatment indexes. Returns
+    the index arrays (i_minus, i_plus, j_minus, j_plus) and the clamped
+    and collapsed masks. Both steps run this one formula, so equal slopes
+    reproduce the step-1 indexes bit for bit.
     """
-    with np.errstate(over="ignore"):  # an infinite ratio or square collapses that band
+    with np.errstate(over="ignore"):  # an infinite square: a zero halfwidth
         ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
-    z = normal_quantile(1.0 - spec.alpha / 2.0)
+    z = two_sided_z(spec.alpha)
     hw_i = _index_halfwidth(z, n_c, n_t, spec.q, n_t + n_c * ratio_c2)
     hw_j = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t * ratio_t2)
     i_minus, i_plus, clamp_i = outward_index_bounds(n_c * spec.q, hw_i, n_c)
     j_minus, j_plus, clamp_j = outward_index_bounds(n_t * spec.q, hw_j, n_t)
     collapsed = (i_minus == i_plus) | (j_minus == j_plus)
     return i_minus, i_plus, j_minus, j_plus, clamp_i | clamp_j, collapsed
-
-
-def _one_quad(quads, n_c: int, n_t: int, q: float) -> IndexQuad:
-    i_minus, i_plus, j_minus, j_plus, clamped, collapsed = (v[0] for v in quads)
-    if collapsed:
-        raise InsufficientSampleError(
-            f"index interval collapsed (n_c={n_c}, n_t={n_t}, q={q}): "
-            "sample too small for the requested quantile and level"
-        )
-    return IndexQuad(int(i_minus), int(i_plus), int(j_minus), int(j_plus), clamped=bool(clamped))
 
 
 def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
@@ -115,15 +89,24 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
     if n_c < 1 or n_t < 1:
         raise DomainError("sample sizes must be >= 1")
     one = np.ones(1)
-    return _one_quad(_quads(spec, n_c, n_t, one, one), n_c, n_t, spec.q)
+    i_minus, i_plus, j_minus, j_plus, clamped, collapsed = (
+        v[0] for v in _quads(spec, n_c, n_t, one, one)
+    )
+    if collapsed:
+        raise InsufficientSampleError(
+            f"index interval collapsed (n_c={n_c}, n_t={n_t}, q={spec.q}): "
+            "sample too small for the requested quantile and level"
+        )
+    return IndexQuad(int(i_minus), int(i_plus), int(j_minus), int(j_plus), clamped=bool(clamped))
 
 
 def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
     """m_c, m_t and the fallback mask for each row pair of sorted blocks.
 
-    A row falls back where a spacing is zero, where a spacing overflows to
-    infinity so its slope is 0, or where both slopes overflow to infinity
-    and have no ratio; its slopes are meaningless.
+    m = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)). A row falls
+    back where a spacing is zero, where a spacing overflows to infinity so
+    its slope is 0, or where both slopes overflow to infinity and have no
+    ratio; its slopes are meaningless.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
@@ -132,46 +115,6 @@ def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
         m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
     no_ratio = (m_c == 0.0) | (m_t == 0.0) | np.isinf(m_c) & np.isinf(m_t)
     return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0) | no_ratio
-
-
-def estimate_slopes(
-    control: OrderedSample, treatment: OrderedSample, quad: IndexQuad
-) -> SlopeEstimates:
-    """Finite-difference cdf slopes across the step-1 index span.
-
-    m_hat = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)). Tied
-    order statistics make a denominator zero, a spacing past the float
-    range makes its slope 0 and spacings below it make both slopes
-    infinite; all go to ``fallback``, not an error, since ties are routine
-    in rounded or discrete-valued data.
-    """
-    if quad.i_plus > control.n or quad.j_plus > treatment.n:
-        raise DomainError(f"index quad {quad} outside the samples ({control.n}, {treatment.n})")
-    m_c, m_t, fallback = _slopes(control.values[None], treatment.values[None], quad)
-    if fallback[0]:
-        return SlopeEstimates(m_c=math.nan, m_t=math.nan, fallback=True)
-    return SlopeEstimates(m_c=float(m_c[0]), m_t=float(m_t[0]), fallback=False)
-
-
-def step2_indexes(
-    spec: QuantileSpec, n_c: int, n_t: int, slopes: SlopeEstimates
-) -> IndexQuad:
-    """Slope-aware optimal indexes from the width-minimizing allocation.
-
-    i = n_c q +/- z sqrt(n_c n_t q(1-q) / (n_t + n_c (m_c/m_t)^2))
-    j = n_t q +/- z sqrt(n_c n_t q(1-q) / (n_c + n_t (m_t/m_c)^2))
-
-    A large m_c/m_t means the control quantile is pinned down precisely,
-    so the variance budget shifts toward the treatment indexes.
-    """
-    if n_c < 1 or n_t < 1:
-        raise DomainError("sample sizes must be >= 1")
-    if slopes.fallback:
-        raise DomainError("step-2 indexes require non-degenerate slope estimates")
-    m_c, m_t = slopes.m_c, slopes.m_t
-    if not (m_c > 0.0 and m_t > 0.0) or math.isinf(m_c) and math.isinf(m_t):
-        raise DomainError(f"slopes must be positive with a ratio, got ({m_c}, {m_t})")
-    return _one_quad(_quads(spec, n_c, n_t, np.array([m_c]), np.array([m_t])), n_c, n_t, spec.q)
 
 
 @quiet_overflow

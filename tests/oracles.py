@@ -6,9 +6,11 @@ at large n from a sum of pmf ratios, critical values from scipy, the
 region/line-search results from exhaustive scans with no windowing or span
 restriction, sample files from a plain per-line ``float()`` loop, the
 grid CSV from one f-string per cell over the grid's own deficits, the
-Price-Bonett and Donner-Zou squares from exact rationals at a power-of-two
-scale found by doubling, and a coverage study's rows from a per-block
-tally summed one Python float at a time.
+one-sample bounds and both steps of the two-step interval from Python
+floats one sample pair at a time, the Price-Bonett and Donner-Zou squares
+from exact rationals at a power-of-two scale found by doubling, and a
+coverage study's rows from a per-block tally summed one Python float at a
+time.
 """
 
 from __future__ import annotations
@@ -16,11 +18,17 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.stats as st
 
-from quantdiff.errors import EmptySampleError, NonFiniteValueError, ValidationError
+from quantdiff.errors import (
+    EmptySampleError,
+    InsufficientSampleError,
+    NonFiniteValueError,
+    ValidationError,
+)
 
 
 def exact_binom_pmf(i: int, n: int, q: Fraction) -> Fraction:
@@ -67,6 +75,81 @@ def ratio_walk_deficits(counts: list[int], q: float, n: int) -> list[float]:
 def quadratic_deficits(q: float, n: int) -> np.ndarray:
     """(i - n q)^2 / (n q (1 - q)) for i in [0, n]: the asymptotic statistic's terms."""
     return (np.arange(n + 1) - n * q) ** 2 / (n * q * (1.0 - q))
+
+
+def outward_indexes(center: float, halfwidth: float, n: int) -> tuple[int, int, bool]:
+    """floor(center - halfwidth) and ceil(center + halfwidth) clamped into [1, n],
+    and whether either left it."""
+    lo, hi = math.floor(center - halfwidth), math.ceil(center + halfwidth)
+    return max(lo, 1), min(hi, n), lo < 1 or hi > n
+
+
+class OneSampleBounds(NamedTuple):
+    lower: float
+    upper: float
+    lower_index: int
+    upper_index: int
+    clamped: bool
+
+
+def one_sample_bounds(y, q: float, z: float) -> OneSampleBounds:
+    """The order-statistic CI for the q-quantile of one sorted sample.
+
+    Indexes N q +/- z sqrt(N q (1-q)), rounded outward and clamped; raises
+    InsufficientSampleError when they meet.
+    """
+    n = len(y)
+    lo, hi, clamped = outward_indexes(n * q, z * math.sqrt(n * q * (1.0 - q)), n)
+    if lo == hi:
+        raise InsufficientSampleError(f"one-sample indexes collapsed (n={n}, q={q})")
+    return OneSampleBounds(float(y[lo - 1]), float(y[hi - 1]), lo, hi, clamped)
+
+
+def two_step_quad(n_c: int, n_t: int, q: float, z: float, m_c: float = 1.0, m_t: float = 1.0):
+    """(i_minus, i_plus, j_minus, j_plus, clamped) for cdf slopes m_c and m_t.
+
+    i = n_c q +/- z sqrt(n_c n_t q(1-q) / (n_t + n_c r^2)), r = m_c / m_t,
+    and j the same with the roles swapped; r^2 is one rounded product,
+    infinity past the float range. None when a band collapses.
+    """
+    r_c, r_t = m_c / m_t, m_t / m_c
+    hw_i = z * math.sqrt(n_c * n_t * q * (1.0 - q) / (n_t + n_c * (r_c * r_c)))
+    hw_j = z * math.sqrt(n_c * n_t * q * (1.0 - q) / (n_c + n_t * (r_t * r_t)))
+    i_minus, i_plus, clamp_i = outward_indexes(n_c * q, hw_i, n_c)
+    j_minus, j_plus, clamp_j = outward_indexes(n_t * q, hw_j, n_t)
+    if i_minus == i_plus or j_minus == j_plus:
+        return None
+    return i_minus, i_plus, j_minus, j_plus, clamp_i or clamp_j
+
+
+def two_step_interval(y_c, y_t, q: float, z: float) -> tuple[float, float, bool, bool]:
+    """(lower, upper, slope_fallback, clamped_index) of the two-step interval.
+
+    Step 1 takes equal slopes; step 2 the finite-difference slopes
+    ((i_plus - i_minus) / n) / (y(i_plus) - y(i_minus)) across the step-1
+    span. A pair falls back to the step-1 quad when a spacing is zero, a
+    slope is 0 (its spacing overflowed), both slopes are infinite, or the
+    step-2 quad collapses. Raises InsufficientSampleError when step 1
+    collapses.
+    """
+    y_c, y_t = [float(v) for v in y_c], [float(v) for v in y_t]
+    n_c, n_t = len(y_c), len(y_t)
+    quad1 = two_step_quad(n_c, n_t, q, z)
+    if quad1 is None:
+        raise InsufficientSampleError(f"step-1 indexes collapsed (n_c={n_c}, n_t={n_t}, q={q})")
+    i_minus, i_plus, j_minus, j_plus, clamped = quad1
+    dy_c, dy_t = y_c[i_plus - 1] - y_c[i_minus - 1], y_t[j_plus - 1] - y_t[j_minus - 1]
+    quad = None
+    if dy_c > 0.0 and dy_t > 0.0:
+        m_c = ((i_plus - i_minus) / n_c) / dy_c
+        m_t = ((j_plus - j_minus) / n_t) / dy_t
+        if m_c != 0.0 and m_t != 0.0 and not (math.isinf(m_c) and math.isinf(m_t)):
+            quad = two_step_quad(n_c, n_t, q, z, m_c, m_t)
+    fallback = quad is None
+    i_minus, i_plus, j_minus, j_plus, clamped2 = quad1 if fallback else quad
+    lower = y_t[j_minus - 1] - y_c[i_plus - 1]
+    upper = y_t[j_plus - 1] - y_c[i_minus - 1]
+    return lower, upper, fallback, clamped or clamped2
 
 
 def rounded_square(x: float) -> float:

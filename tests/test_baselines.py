@@ -13,14 +13,18 @@ from quantdiff import (
     QuantileSpec,
     donner_zou_ci,
     ingest_sample,
-    one_sample_ci,
     price_bonnet_ci,
     quantile_point_estimate,
 )
 from quantdiff.errors import InsufficientSampleError, NumericOverflowError
-from quantdiff.likelihood import normal_quantile
+from quantdiff.likelihood import two_sided_z
 
-from oracles import donner_zou_endpoints, price_bonnet_endpoints
+from oracles import (
+    OneSampleBounds,
+    donner_zou_endpoints,
+    one_sample_bounds,
+    price_bonnet_endpoints,
+)
 
 
 def _spec(q=0.5, alpha=0.05):
@@ -31,36 +35,55 @@ GRID_100 = ingest_sample(np.arange(1.0, 101.0))
 
 
 class TestOneSampleCI:
+    """The one-sample bounds, read through the two baselines.
+
+    On GRID_100 at q = 0.5 both arms' point estimate is 50.5, so
+    Donner-Zou's upper endpoint is hypot(u - 50.5, 50.5 - l) for the
+    one-sample bounds (l, u).
+    """
+
     def test_reference_indexes(self):
-        # 50 +/- 1.95996 * 5 = 50 +/- 9.8, rounded outward
-        b = one_sample_ci(GRID_100, _spec())
-        assert (b.lower_index, b.upper_index) == (40, 60)
-        assert (b.lower, b.upper) == (40.0, 60.0)
-        assert not b.clamped
+        # 50 +/- 1.95996 * 5 = 50 +/- 9.8, rounded outward: the bounds
+        # (40, 60), 9.5 and 10.5 from the estimate.
+        ci = donner_zou_ci(GRID_100, GRID_100, _spec())
+        assert ci.upper == -ci.lower == math.hypot(9.5, 10.5)
+        assert not ci.flags
+        pb = price_bonnet_ci(GRID_100, GRID_100, _spec())
+        bounds = OneSampleBounds(40.0, 60.0, 40, 60, False)
+        want = price_bonnet_endpoints(bounds, bounds, 50.5, 50.5, two_sided_z(0.05))
+        assert (pb.lower, pb.upper) == want
 
     def test_collapse(self):
-        with pytest.raises(InsufficientSampleError):
-            one_sample_ci(ingest_sample([1.0]), _spec())
-        with pytest.raises(InsufficientSampleError):
-            one_sample_ci(GRID_100, _spec(q=0.0001))
+        for ci in (price_bonnet_ci, donner_zou_ci):
+            with pytest.raises(InsufficientSampleError):
+                ci(ingest_sample([1.0]), ingest_sample([1.0]), _spec())
+            with pytest.raises(InsufficientSampleError):
+                ci(GRID_100, GRID_100, _spec(q=0.0001))
 
     def test_near_one_alpha_narrow_but_valid(self):
         # z -> 0 pulls both fractional indexes toward Nq = 50; outward
         # rounding around the integer center still spans (49, 51).
-        b = one_sample_ci(GRID_100, _spec(alpha=0.9999))
-        assert (b.lower_index, b.upper_index) == (49, 51)
+        ci = donner_zou_ci(GRID_100, GRID_100, _spec(alpha=0.9999))
+        assert ci.upper == -ci.lower == math.hypot(0.5, 1.5)
 
     def test_alpha_nesting(self):
         rng = np.random.default_rng(41)
-        s = ingest_sample(rng.normal(size=500))
-        wide = one_sample_ci(s, _spec(alpha=0.01))
-        narrow = one_sample_ci(s, _spec(alpha=0.05))
-        assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+        c = ingest_sample(rng.normal(size=500))
+        t = ingest_sample(rng.normal(size=400))
+        for ci in (price_bonnet_ci, donner_zou_ci):
+            wide = ci(c, t, _spec(alpha=0.01))
+            narrow = ci(c, t, _spec(alpha=0.05))
+            assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
     def test_clamped_flag(self):
-        b = one_sample_ci(GRID_100, _spec(q=0.99))
-        assert b.clamped
-        assert b.upper_index == 100
+        # 99 + 1.96 * 0.995 rounds up past 100 and clamps to the maximum,
+        # 0.5 above the estimate 99.5.
+        for ci in (price_bonnet_ci, donner_zou_ci):
+            assert ci(GRID_100, GRID_100, _spec(q=0.99)).flags == {"clamped_index"}
+        bounds = one_sample_bounds(GRID_100.values, 0.99, two_sided_z(0.05))
+        assert (bounds.upper_index, bounds.clamped) == (100, True)
+        dz = donner_zou_ci(GRID_100, GRID_100, _spec(q=0.99))
+        assert dz.upper == math.hypot(0.5, 99.5 - bounds.lower)
 
 
 class TestPriceBonnet:
@@ -153,8 +176,8 @@ class TestDonnerZou:
         y_t = ingest_sample(rng.lognormal(size=1000))
         spec = _spec(q=0.9)
         ci = donner_zou_ci(y_c, y_t, spec)
-        b_c = one_sample_ci(y_c, spec)
-        b_t = one_sample_ci(y_t, spec)
+        b_c = one_sample_bounds(y_c.values, 0.9, two_sided_z(0.05))
+        b_t = one_sample_bounds(y_t.values, 0.9, two_sided_z(0.05))
         t_c = quantile_point_estimate(y_c, 0.9)
         t_t = quantile_point_estimate(y_t, 0.9)
         diff = t_t - t_c
@@ -216,10 +239,10 @@ class TestCorrectlyRoundedSquares:
             arms = [np.round(y, 1) for y in arms]
         control, treatment = (ingest_sample(y * 10.0**exponent) for y in arms)
         spec = _spec(q=q, alpha=alpha)
-        b_c, b_t = one_sample_ci(control, spec), one_sample_ci(treatment, spec)
+        z = two_sided_z(alpha)
+        b_c, b_t = (one_sample_bounds(y.values, q, z) for y in (control, treatment))
         tau_c = quantile_point_estimate(control, q)
         tau_t = quantile_point_estimate(treatment, q)
-        z = normal_quantile(1.0 - alpha / 2.0)
         for ci, want in (
             (price_bonnet_ci, price_bonnet_endpoints(b_c, b_t, tau_c, tau_t, z)),
             (donner_zou_ci, donner_zou_endpoints(b_c, b_t, tau_c, tau_t)),

@@ -21,10 +21,10 @@ from quantdiff import (
     QuantileSpec,
     ingest_sample,
     max_likelihood_index,
-    outward_index_interval,
     quantile_point_estimate,
     read_sample_csv,
 )
+import quantdiff
 from quantdiff import core
 from quantdiff.core import outward_index_bounds
 from quantdiff.errors import (
@@ -419,26 +419,46 @@ class TestConfidenceInterval:
         assert not ci.contains(3.0001)
 
 
+class TestNamespace:
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from quantdiff import *", namespace)
+        for name in quantdiff.__all__:
+            assert namespace[name] is getattr(quantdiff, name)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "estimate_slopes",
+            "step2_indexes",
+            "SlopeEstimates",
+            "one_sample_ci",
+            "OneSampleBounds",
+            "outward_index_interval",
+        ],
+    )
+    def test_removed_names_are_gone(self, name):
+        assert not hasattr(quantdiff, name)
+        assert name not in quantdiff.__all__
+
+
 class TestOutwardIndexInterval:
+    """outward_index_bounds on one float halfwidth, and elementwise on an array."""
+
     def test_widens(self):
-        lo, hi, clamped = outward_index_interval(50.0, 9.8, 100)
-        assert (lo, hi, clamped) == (40, 60, False)
+        assert outward_index_bounds(50.0, 9.8, 100) == (40, 60, False)
 
     def test_clamps_low(self):
-        lo, hi, clamped = outward_index_interval(2.0, 5.0, 100)
-        assert (lo, hi, clamped) == (1, 7, True)
+        assert outward_index_bounds(2.0, 5.0, 100) == (1, 7, True)
 
     def test_clamps_high(self):
-        lo, hi, clamped = outward_index_interval(99.0, 5.0, 100)
-        assert (lo, hi, clamped) == (94, 100, True)
+        assert outward_index_bounds(99.0, 5.0, 100) == (94, 100, True)
 
     def test_integer_endpoints_not_widened(self):
-        lo, hi, clamped = outward_index_interval(50.0, 10.0, 100)
-        assert (lo, hi, clamped) == (40, 60, False)
+        assert outward_index_bounds(50.0, 10.0, 100) == (40, 60, False)
 
     def test_bounds_match_scalar_elementwise(self):
         halfwidths = np.array([9.8, 5.0, 10.0, 0.0, 120.0])
         lo, hi, clamped = outward_index_bounds(50.0, halfwidths, 100)
         for k, hw in enumerate(halfwidths.tolist()):
-            assert (lo[k], hi[k], clamped[k]) == outward_index_interval(50.0, hw, 100)
-
+            assert (lo[k], hi[k], clamped[k]) == outward_index_bounds(50.0, hw, 100)

@@ -1,9 +1,11 @@
 """Facts every result record holds, checked over the functions that build it.
 
-``ConfidenceInterval``, ``OneSampleBounds``, ``LRStatistic`` and
+``ConfidenceInterval``, ``IndexQuad``, ``LRStatistic`` and
 ``LRTestResult`` carry no checks of their own: each fact below follows
 from the functions that build the record, and is checked there.
 """
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -16,12 +18,15 @@ from quantdiff import (
     lr_statistic_asymptotic,
     lr_statistic_exact,
     lr_test,
-    one_sample_ci,
+    step1_indexes,
 )
-from quantdiff.baselines import donner_zou_rows, price_bonnet_rows
-from quantdiff.errors import EstimationError
+from quantdiff.baselines import _one_sample_rows, donner_zou_rows, price_bonnet_rows
+from quantdiff.errors import EstimationError, InsufficientSampleError
+from quantdiff.likelihood import two_sided_z
 from quantdiff.region import conservative_rows
 from quantdiff.two_step import two_step_rows
+
+from oracles import one_sample_bounds, outward_indexes
 
 ROW_FUNCTIONS = {
     Method.LR_CONSERVATIVE: conservative_rows,
@@ -87,10 +92,43 @@ def test_lower_never_above_upper(seed, rows, n_c, n_t, kind, exponent, q, alpha)
         assert (got.lower[finite] <= got.upper[finite]).all(), method
     for y in (y_c, y_t):
         try:
-            bounds = one_sample_ci(ingest_sample(y[0]), spec)
+            lower, upper, clamped = _one_sample_rows(y, spec)
         except EstimationError:
             continue
-        assert bounds.lower <= bounds.upper
+        assert (lower <= upper).all()
+        for r in range(rows):
+            bounds = one_sample_bounds(y[r], q, two_sided_z(alpha))
+            assert (lower[r], upper[r], clamped) == bounds[:2] + (bounds.clamped,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_c=hst.integers(1, 10**6),
+    n_t=hst.integers(1, 10**6),
+    q=hst.floats(1e-6, 1.0 - 1e-6),
+    alpha=hst.floats(1e-6, 0.999),
+)
+@example(n_c=10, n_t=10, q=0.99, alpha=0.05)
+@example(n_c=10, n_t=10, q=0.001, alpha=0.05)
+def test_step1_indexes_ordered_inside_the_samples(n_c, n_t, q, alpha):
+    # Each band N q +/- z s is rounded outward and clamped into [1, N]:
+    # clamped exactly when a rounded bound left [1, N], and a refusal
+    # exactly when a band collapsed to one index.
+    spec = QuantileSpec(q, alpha)
+    s = math.sqrt(n_c * n_t * q * (1.0 - q) / (n_c + n_t))
+    i_band = outward_indexes(n_c * q, two_sided_z(alpha) * s, n_c)
+    j_band = outward_indexes(n_t * q, two_sided_z(alpha) * s, n_t)
+    collapsed = i_band[0] == i_band[1] or j_band[0] == j_band[1]
+    try:
+        quad = step1_indexes(spec, n_c, n_t)
+    except InsufficientSampleError:
+        assert collapsed
+        return
+    assert not collapsed
+    assert 1 <= quad.i_minus < quad.i_plus <= n_c
+    assert 1 <= quad.j_minus < quad.j_plus <= n_t
+    assert (quad.i_minus, quad.i_plus, quad.j_minus, quad.j_plus) == i_band[:2] + j_band[:2]
+    assert quad.clamped == (i_band[2] or j_band[2])
 
 
 @settings(max_examples=200, deadline=None)

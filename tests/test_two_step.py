@@ -9,18 +9,12 @@ import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from quantdiff import (
-    IndexQuad,
-    QuantileSpec,
-    SlopeEstimates,
-    estimate_slopes,
-    ingest_sample,
-    step1_indexes,
-    step2_indexes,
-    two_step_ci,
-)
-from quantdiff.errors import DomainError, InsufficientSampleError
+from quantdiff import QuantileSpec, ingest_sample, step1_indexes, two_step_ci
+from quantdiff.errors import InsufficientSampleError
+from quantdiff.likelihood import two_sided_z
 from quantdiff.two_step import two_step_rows
+
+from oracles import two_step_interval, two_step_quad
 
 
 def _spec(q=0.5, alpha=0.05):
@@ -76,58 +70,102 @@ class TestStep1Indexes:
             assert quad.j_plus == min(math.ceil(n_t * q + z * s), n_t)
 
 
+# Arms that reach every fallback path: ties, constant rows, spacing below
+# 1e-308 / n (whose slopes overflow to infinity), spacing past the float
+# range (whose slope is 0) and scales near 1e+-300.
+_ARMS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+    "subnormal": lambda rng, n: rng.uniform(0.0, 1e-310, size=n),
+    "huge": lambda rng, n: rng.normal(size=n) * 1e300,
+    "tiny": lambda rng, n: rng.lognormal(size=n) * 1e-300,
+    "far": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * rng.uniform(9e307, 1.7e308, size=n),
+}
+
+
+def _step1_endpoints(control, treatment, spec):
+    quad1 = step1_indexes(spec, control.n, treatment.n)
+    return (
+        treatment.order_stat(quad1.j_minus) - control.order_stat(quad1.i_plus),
+        treatment.order_stat(quad1.j_plus) - control.order_stat(quad1.i_minus),
+    )
+
+
+def _sloped(n, start, slope):
+    """n sorted values that rise by exactly ((k - start) / n) / slope from
+    index start to k, slope a power of two: the step-1 slope estimate read
+    from a span starting at ``start`` is ``slope`` bit for bit."""
+    return ingest_sample(((np.arange(1, n + 1) - start) / n) / slope)
+
+
+def _matches_oracle(control, treatment, spec):
+    """two_step_ci's endpoints and flags equal the oracle's, bit for bit."""
+    ci = two_step_ci(control, treatment, spec)
+    lower, upper, fallback, clamped = two_step_interval(
+        control.values, treatment.values, spec.q, two_sided_z(spec.alpha)
+    )
+    flags = {"slope_fallback"} if fallback else set()
+    assert (ci.lower.hex(), ci.upper.hex()) == (lower.hex(), upper.hex())
+    assert ci.flags == flags | ({"clamped_index"} if clamped else set())
+    return ci
+
+
 class TestEstimateSlopes:
+    """The step-1 slope estimates, read through two_step_ci and the oracle."""
+
     def test_unit_grid_slope_one(self):
-        quad = step1_indexes(_spec(), 100, 100)
-        slopes = estimate_slopes(UNIT_GRID_100, UNIT_GRID_100, quad)
-        assert not slopes.fallback
-        assert slopes.m_c == pytest.approx(1.0, rel=1e-9)
-        assert slopes.m_t == pytest.approx(1.0, rel=1e-9)
+        # Equal slopes: step 2 keeps the step-1 quad, with no fallback.
+        ci = _matches_oracle(UNIT_GRID_100, UNIT_GRID_100, _spec())
+        assert not ci.flags
+        assert (ci.lower, ci.upper) == _step1_endpoints(UNIT_GRID_100, UNIT_GRID_100, _spec())
 
     def test_doubled_grid_slope_halves(self):
+        # Spacings twice as wide halve the control slope: m_c/m_t = 1/2
+        # gives the control the wider band.
         doubled = ingest_sample(UNIT_GRID_100.values * 2.0)
-        quad = step1_indexes(_spec(), 100, 100)
-        slopes = estimate_slopes(doubled, UNIT_GRID_100, quad)
-        assert slopes.m_c == pytest.approx(0.5, rel=1e-9)
-        assert slopes.m_t == pytest.approx(1.0, rel=1e-9)
+        ci = _matches_oracle(doubled, UNIT_GRID_100, _spec())
+        assert not ci.flags
+        i_minus, i_plus, j_minus, j_plus, _ = two_step_quad(
+            100, 100, 0.5, two_sided_z(0.05), 0.5, 1.0
+        )
+        assert i_plus - i_minus > j_plus - j_minus
+        assert ci.lower == UNIT_GRID_100.order_stat(j_minus) - doubled.order_stat(i_plus)
+        assert ci.upper == UNIT_GRID_100.order_stat(j_plus) - doubled.order_stat(i_minus)
 
     def test_ties_fall_back(self):
-        flat = ingest_sample(np.ones(100))
-        quad = step1_indexes(_spec(), 100, 100)
-        slopes = estimate_slopes(flat, UNIT_GRID_100, quad)
-        assert slopes.fallback
-        assert math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
-
-    def test_caller_quad_with_equal_indexes_falls_back(self):
-        # i_minus == i_plus gives the slope 0 / 0, with no numpy warning.
-        slopes = estimate_slopes(UNIT_GRID_100, UNIT_GRID_100, IndexQuad(50, 50, 40, 60))
-        assert slopes.fallback
-        assert math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
+        # A zero spacing falls back itself, whether or not the step-2 band
+        # would collapse (the control centre 50 is an integer, 50.5 is not).
+        for n in (100, 101):
+            flat = ingest_sample(np.ones(n))
+            ci = _matches_oracle(flat, UNIT_GRID_100, _spec())
+            assert ci.flags == {"slope_fallback"}
+            assert (ci.lower, ci.upper) == _step1_endpoints(flat, UNIT_GRID_100, _spec())
 
     def test_spacing_past_the_float_range_falls_back(self):
         # The control's step-1 spacing 1e308 - (-1e308) overflows to
         # infinity, so its slope is 0 and has no usable ratio.
         control = ingest_sample([-1e308] * 100 + [1e308] * 100)
         treatment = ingest_sample(np.random.default_rng(0).normal(size=200))
-        quad1 = step1_indexes(_spec(), 200, 200)
-        slopes = estimate_slopes(control, treatment, quad1)
-        assert slopes.fallback and math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
         for c, t in [(control, treatment), (treatment, control)]:
-            ci = two_step_ci(c, t, _spec())
+            ci = _matches_oracle(c, t, _spec())
             assert ci.flags == {"slope_fallback"}
-            assert ci.lower == t.order_stat(quad1.j_minus) - c.order_stat(quad1.i_plus)
-            assert ci.upper == t.order_stat(quad1.j_plus) - c.order_stat(quad1.i_minus)
+            assert (ci.lower, ci.upper) == _step1_endpoints(c, t, _spec())
 
 
 class TestStep2Indexes:
+    """Step 2's width-minimizing indexes, on arms whose slopes are exact."""
+
     def test_equal_slopes_reduce_to_step1(self):
         for n_c, n_t, q in [(100, 100, 0.5), (250, 80, 0.3), (33, 47, 0.7)]:
-            quad1 = step1_indexes(_spec(q=q), n_c, n_t)
-            for m in (0.25, 1.0, 17.5):
-                quad2 = step2_indexes(
-                    _spec(q=q), n_c, n_t, SlopeEstimates(m_c=m, m_t=m, fallback=False)
-                )
-                assert quad2 == quad1
+            spec = _spec(q=q)
+            quad1 = step1_indexes(spec, n_c, n_t)
+            for m in (0.25, 1.0, 16.0):
+                control = _sloped(n_c, quad1.i_minus, m)
+                treatment = _sloped(n_t, quad1.j_minus, m)
+                ci = _matches_oracle(control, treatment, spec)
+                assert "slope_fallback" not in ci.flags
+                assert (ci.lower, ci.upper) == _step1_endpoints(control, treatment, spec)
 
     def test_slope_ratio_two_reference(self):
         # n_c = n_t = N and m_c/m_t = 2 turn the denominators into 5N and
@@ -135,61 +173,65 @@ class TestStep2Indexes:
         # z*sqrt(Nq(1-q)/1.25).
         n = 10_000
         q, alpha = 0.5, 0.05
+        quad1 = step1_indexes(_spec(), n, n)
+        control = _sloped(n, quad1.i_minus, 2.0)
+        treatment = _sloped(n, quad1.j_minus, 1.0)
+        ci = _matches_oracle(control, treatment, _spec())
         z = scipy.stats.norm.ppf(1 - alpha / 2)
-        quad = step2_indexes(
-            _spec(), n, n, SlopeEstimates(m_c=2.0, m_t=1.0, fallback=False)
-        )
         hw_i = z * math.sqrt(n * q * (1 - q) / 5.0)
         hw_j = z * math.sqrt(n * q * (1 - q) / 1.25)
-        assert quad.i_minus == math.floor(n * q - hw_i)
-        assert quad.i_plus == math.ceil(n * q + hw_i)
-        assert quad.j_minus == math.floor(n * q - hw_j)
-        assert quad.j_plus == math.ceil(n * q + hw_j)
+        i_minus, i_plus = math.floor(n * q - hw_i), math.ceil(n * q + hw_i)
+        j_minus, j_plus = math.floor(n * q - hw_j), math.ceil(n * q + hw_j)
+        assert ci.lower == treatment.order_stat(j_minus) - control.order_stat(i_plus)
+        assert ci.upper == treatment.order_stat(j_plus) - control.order_stat(i_minus)
         # the steep-control side gets the narrow index band
-        assert quad.i_plus - quad.i_minus < quad.j_plus - quad.j_minus
+        assert i_plus - i_minus < j_plus - j_minus
 
     def test_extreme_ratio_shrinks_one_side(self):
         n = 10_000
-        quad = step2_indexes(
-            _spec(), n, n, SlopeEstimates(m_c=1e6, m_t=1.0, fallback=False)
+        quad1 = step1_indexes(_spec(), n, n)
+        control = _sloped(n, quad1.i_minus, 2.0**20)
+        treatment = _sloped(n, quad1.j_minus, 1.0)
+        ci = _matches_oracle(control, treatment, _spec())
+        assert not ci.flags
+        i_minus, i_plus, j_minus, j_plus, _ = two_step_quad(
+            n, n, 0.5, two_sided_z(0.05), 2.0**20, 1.0
         )
-        assert quad.i_plus - quad.i_minus <= 2
-        assert quad.j_plus - quad.j_minus > 100
+        assert i_plus - i_minus <= 2
+        assert j_plus - j_minus > 100
+        assert ci.lower == treatment.order_stat(j_minus) - control.order_stat(i_plus)
 
     def test_squared_ratio_past_the_float_range_collapses_quietly(self):
-        # (m_c / m_t)^2 = 1e320 is infinity, so the i band collapses; numpy
-        # must not warn about the overflow on the way.
-        with pytest.raises(InsufficientSampleError):
-            step2_indexes(_spec(), 200, 200, SlopeEstimates(1e160, 1.0, False))
+        # (m_c / m_t)^2 = 2^1080 is infinity, so the i band around the
+        # integer centre 100 collapses and the row falls back; numpy must
+        # not warn about the overflow on the way.
+        quad1 = step1_indexes(_spec(), 200, 200)
+        control = _sloped(200, quad1.i_minus, 2.0**540)
+        treatment = _sloped(200, quad1.j_minus, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci = _matches_oracle(control, treatment, _spec())
+        assert ci.flags == {"slope_fallback"}
+        assert (ci.lower, ci.upper) == _step1_endpoints(control, treatment, _spec())
 
     @pytest.mark.parametrize(
-        "m_c, m_t",
-        [(math.inf, math.inf), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, -2.0), (math.nan, 1.0)],
+        "kind_c, kind_t",
+        [("subnormal", "subnormal"), ("far", "normal"), ("normal", "far"), ("far", "far")],
     )
-    def test_slopes_with_no_positive_ratio_raise_without_warnings(self, m_c, m_t):
-        # Two infinite slopes have a NaN ratio; a zero, negative or NaN slope
-        # is not positive.
-        with pytest.raises(DomainError):
-            step2_indexes(_spec(), 200, 200, SlopeEstimates(m_c, m_t, False))
-
-    def test_rejects_fallback_and_bad_slopes(self):
-        with pytest.raises(DomainError):
-            step2_indexes(
-                _spec(), 100, 100,
-                SlopeEstimates(m_c=math.nan, m_t=math.nan, fallback=True),
-            )
-        with pytest.raises(DomainError):
-            step2_indexes(
-                _spec(), 100, 100, SlopeEstimates(m_c=-1.0, m_t=1.0, fallback=False)
-            )
-
-
-class TestIndexQuad:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            IndexQuad(i_minus=0, i_plus=5, j_minus=1, j_plus=2)
-        with pytest.raises(DomainError):
-            IndexQuad(i_minus=3, i_plus=2, j_minus=1, j_plus=2)
+    def test_no_positive_ratio_falls_back(self, kind_c, kind_t):
+        # Spacings below 1e-308 / n give two infinite slopes, whose ratio is
+        # NaN; a spacing past the float range gives a zero slope.
+        rng = np.random.default_rng(4)
+        control = ingest_sample(_ARMS[kind_c](rng, 200))
+        treatment = ingest_sample(_ARMS[kind_t](rng, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = _step1_endpoints(control, treatment, _spec())
+            rows = two_step_rows(control.values[None], treatment.values[None], _spec())
+        assert rows.flags["slope_fallback"].tolist() == [True]
+        assert (rows.lower.tolist(), rows.upper.tolist()) == ([lower], [upper])
+        want = two_step_interval(control.values, treatment.values, 0.5, two_sided_z(0.05))
+        assert want[:3] == (lower, upper, True)
 
 
 class TestTwoStepCI:
@@ -272,36 +314,9 @@ class TestTwoStepCI:
         assert hits / reps > 0.9
 
 
-# Arms that reach every fallback path: ties, constant rows, spacing below
-# 1e-308 / n (whose slopes overflow to infinity), spacing past the float
-# range (whose slope is 0) and scales near 1e+-300.
-_ARMS = {
-    "normal": lambda rng, n: rng.normal(size=n),
-    "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
-    "constant": lambda rng, n: np.full(n, rng.normal()),
-    "subnormal": lambda rng, n: rng.uniform(0.0, 1e-310, size=n),
-    "huge": lambda rng, n: rng.normal(size=n) * 1e300,
-    "tiny": lambda rng, n: rng.lognormal(size=n) * 1e-300,
-    "far": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * rng.uniform(9e307, 1.7e308, size=n),
-}
-
-
-def _composed_row(control, treatment, spec):
-    """Endpoints and flags of one row from the public steps, one pair at a time."""
-    quad1 = step1_indexes(spec, control.n, treatment.n)
-    slopes = estimate_slopes(control, treatment, quad1)
-    quad, fallback = quad1, slopes.fallback
-    if not fallback:
-        try:
-            quad = step2_indexes(spec, control.n, treatment.n, slopes)
-        except InsufficientSampleError:
-            quad, fallback = quad1, True
-    lower = treatment.order_stat(quad.j_minus) - control.order_stat(quad.i_plus)
-    upper = treatment.order_stat(quad.j_plus) - control.order_stat(quad.i_minus)
-    return lower.hex(), upper.hex(), fallback, quad1.clamped or quad.clamped
-
-
 class TestTwoStepRowsMatchPublicSteps:
+    """two_step_rows against the oracle's two steps, one sample pair at a time."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=hst.integers(0, 2**32 - 1),
@@ -326,7 +341,8 @@ class TestTwoStepRowsMatchPublicSteps:
         y_t = np.sort([_ARMS[t](rng, n_t) for _, t in kinds], axis=1)
         rows = two_step_rows(y_c, y_t, spec)
         for r in range(len(kinds)):
-            want = _composed_row(ingest_sample(y_c[r]), ingest_sample(y_t[r]), spec)
+            lower, upper, fallback, clamped = two_step_interval(y_c[r], y_t[r], q, two_sided_z(alpha))
+            want = (lower.hex(), upper.hex(), fallback, clamped)
             got = (
                 rows.lower[r].hex(),
                 rows.upper[r].hex(),
@@ -337,16 +353,12 @@ class TestTwoStepRowsMatchPublicSteps:
 
     def test_subnormal_spacing_falls_back_without_warnings(self):
         # Both slopes overflow to infinity, so their ratio is NaN: a fallback,
-        # reported with no numpy warning, and refused by step 2.
+        # reported with no numpy warning.
         rng = np.random.default_rng(3)
         control = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
         treatment = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
-        quad1 = step1_indexes(_spec(), 200, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slopes = estimate_slopes(control, treatment, quad1)
-            ci = two_step_ci(control, treatment, _spec())
-        assert slopes.fallback and math.isnan(slopes.m_c) and math.isnan(slopes.m_t)
+            ci = _matches_oracle(control, treatment, _spec())
         assert ci.flags == {"slope_fallback"}
-        assert ci.lower == treatment.order_stat(quad1.j_minus) - control.order_stat(quad1.i_plus)
-        assert ci.upper == treatment.order_stat(quad1.j_plus) - control.order_stat(quad1.i_minus)
+        assert (ci.lower, ci.upper) == _step1_endpoints(control, treatment, _spec())
