@@ -30,6 +30,7 @@ from .core import (
     QuantileSpec,
     outward_index_bounds,
     point_estimates,
+    power_of_two_lift,
     quiet_overflow,
 )
 from .errors import InsufficientSampleError
@@ -53,15 +54,10 @@ def _one_sample_rows(y: np.ndarray, spec: QuantileSpec):
 
 
 def _root_sum_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sqrt(a^2 + b^2) of each pair, squared at scale 2^k, k >= 0 the least
-    exponent that lifts max(|a|, |b|) to at least 1/2.
-
-    Scaling by a power of two is exact and commutes with rounding in the
-    normal range, so wherever no square leaves it the bits are those of
-    the plain formula.
-    """
-    k = np.maximum(0, -np.frexp(np.maximum(np.abs(a), np.abs(b)))[1])
-    return np.ldexp(np.sqrt(np.square(np.ldexp(a, k)) + np.square(np.ldexp(b, k))), -k)
+    """sqrt(a^2 + b^2) of each pair, squared after :func:`power_of_two_lift`: the
+    plain formula's bits wherever no square leaves the normal range."""
+    a, b, k = power_of_two_lift(a, b)
+    return np.ldexp(np.sqrt(np.square(a) + np.square(b)), -k)
 
 
 def _interval_rows(method: Method, spec: QuantileSpec, lower, upper, clamped: bool) -> IntervalRows:

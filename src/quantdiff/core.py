@@ -300,6 +300,13 @@ def outward_index_bounds(center: float, halfwidth, n: int):
     return np.maximum(lo, 1).astype(np.intp), np.minimum(hi, n).astype(np.intp), clamped
 
 
+def power_of_two_lift(a: np.ndarray, b: np.ndarray):
+    """``(a 2^k, b 2^k, k)``, k >= 0 least with max(|a|, |b|) 2^k >= 1/2: exact, even
+    from subnormals, and commuting with rounding in the normal range."""
+    k = np.maximum(0, -np.frexp(np.maximum(np.abs(a), np.abs(b)))[1])
+    return np.ldexp(a, k), np.ldexp(b, k), k
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A two-sided confidence interval with its method tag and diagnostics."""
@@ -357,17 +364,18 @@ class IntervalRows:
 
 
 def quiet_overflow(row_fn):
-    """Run an interval row function with numpy's overflow and invalid warnings off.
+    """Run an interval row function with numpy's float warnings off.
 
-    A difference or a sum of finite doubles can pass the float range, and
-    infinity minus infinity is NaN. Such a row gets a non-finite endpoint
-    and fails on its own: :meth:`IntervalRows.first` raises for it, and a
-    coverage study counts it as a failure.
+    A sum or difference past the float range, or inf - inf, gives a row a
+    non-finite endpoint, and the row fails on its own: :meth:`IntervalRows.first`
+    raises for it, and a coverage study counts it. A two-step row whose step-1
+    spacing is zero (a division by zero) or infinite, or whose step-2 quad
+    collapses, takes equal slopes and the ``slope_fallback`` flag.
     """
 
     @functools.wraps(row_fn)
     def quiet(*args, **kwargs) -> IntervalRows:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return row_fn(*args, **kwargs)
 
     return quiet

@@ -101,23 +101,19 @@ def _searchsorted_rows(
 ) -> np.ndarray:
     """``np.searchsorted(block[row[k]], keys[k], side)`` for each k; block rows are sorted.
 
-    Over several rows this is one binary search over all keys at once, so
-    a block costs log2(n) array steps rather than a call per row; a single
-    row, as in the one-pair functions, takes numpy's own search.
+    Over several rows this is one binary-lifting search over all keys: a
+    count moves up by each power of two <= n, largest first, where the value
+    it reaches sorts before the key. One row takes numpy's own search.
     """
     if len(block) == 1:
         return np.searchsorted(block[0], keys, side=side)
     n = block.shape[1]
-    lo = np.zeros(keys.shape, dtype=np.intp)
-    hi = np.full(keys.shape, n, dtype=np.intp)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        value = block[row, np.minimum(mid, n - 1)]
-        right = value < keys if side == "left" else value <= keys
-        searching = lo < hi
-        lo = np.where(searching & right, mid + 1, lo)
-        hi = np.where(searching & ~right, mid, hi)
-    return lo
+    count = np.zeros(keys.shape, dtype=np.intp)
+    for power in reversed(range(n.bit_length())):
+        probe = np.minimum(count + (1 << power), n)
+        value = block[row, probe - 1]
+        count = np.where(value < keys if side == "left" else value <= keys, probe, count)
+    return count
 
 
 def _optimum(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

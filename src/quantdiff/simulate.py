@@ -198,7 +198,13 @@ class ScenarioSpec:
             raise DomainError("replications must lie in [1, 2**64]")
         if not (0 <= self.master_seed < 2**64):
             raise DomainError("master_seed must fit in an unsigned 64-bit integer")
-        delta = true_quantile(self.dist_t, self.q) - true_quantile(self.dist_c, self.q)
+        tau_c, tau_t = true_quantile(self.dist_c, self.q), true_quantile(self.dist_t, self.q)
+        delta = tau_t - tau_c
+        if not math.isfinite(delta):
+            raise DomainError(
+                f"the true difference of the {self.q} quantiles, {tau_t:g} of {self.dist_t} "
+                f"minus {tau_c:g} of {self.dist_c}, overflows double precision"
+            )
         object.__setattr__(self, "true_delta", delta)
 
 

@@ -12,10 +12,9 @@ an IEEE product (``np.square``); past the float range it is infinity,
 which gives that step-2 band zero halfwidth: it collapses where N q is an
 integer and is one index wide otherwise.
 
-One fallback rule: a row whose step-1 spacing is zero, whose spacing
-overflows to infinity (a slope of 0), whose two slopes overflow to
-infinity (no ratio) or whose step-2 quad collapses takes equal slopes,
-whose ratio 1.0 gives the step-1 quad bit for bit.
+One fallback rule: a row whose step-1 spacing is zero or infinite, or
+whose step-2 quad collapses, takes equal slopes, whose ratio 1.0 gives
+the step-1 quad bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     OrderedSample,
     QuantileSpec,
     outward_index_bounds,
+    power_of_two_lift,
     quiet_overflow,
 )
 from .errors import DomainError, InsufficientSampleError
@@ -69,8 +69,7 @@ def _quads(spec: QuantileSpec, n_c: int, n_t: int, m_c: np.ndarray, m_t: np.ndar
     and collapsed masks. Both steps run this one formula, so equal slopes
     reproduce the step-1 indexes bit for bit.
     """
-    with np.errstate(over="ignore"):  # an infinite square: a zero halfwidth
-        ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
+    ratio_c2, ratio_t2 = np.square(m_c / m_t), np.square(m_t / m_c)
     z = two_sided_z(spec.alpha)
     hw_i = _index_halfwidth(z, n_c, n_t, spec.q, n_t + n_c * ratio_c2)
     hw_j = _index_halfwidth(z, n_c, n_t, spec.q, n_c + n_t * ratio_t2)
@@ -103,18 +102,18 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
 def _slopes(y_c: np.ndarray, y_t: np.ndarray, quad: IndexQuad):
     """m_c, m_t and the fallback mask for each row pair of sorted blocks.
 
-    m = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)). A row falls
-    back where a spacing is zero, where a spacing overflows to infinity so
-    its slope is 0, or where both slopes overflow to infinity and have no
-    ratio; its slopes are meaningless.
+    m = ((i_plus - i_minus) / n) / (y_(i_plus) - y_(i_minus)), both spacings
+    lifted by :func:`power_of_two_lift`: their ratio is kept, and the larger
+    one's slope is finite. A row falls back where a spacing is zero or
+    infinite; its slopes are meaningless.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
-        dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
-        m_c = ((quad.i_plus - quad.i_minus) / y_c.shape[1]) / dy_c
-        m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
-    no_ratio = (m_c == 0.0) | (m_t == 0.0) | np.isinf(m_c) & np.isinf(m_t)
-    return m_c, m_t, (dy_c <= 0.0) | (dy_t <= 0.0) | no_ratio
+    dy_c = y_c[:, quad.i_plus - 1] - y_c[:, quad.i_minus - 1]
+    dy_t = y_t[:, quad.j_plus - 1] - y_t[:, quad.j_minus - 1]
+    fallback = (dy_c <= 0.0) | (dy_t <= 0.0) | np.isinf(dy_c) | np.isinf(dy_t)
+    dy_c, dy_t, _ = power_of_two_lift(dy_c, dy_t)
+    m_c = ((quad.i_plus - quad.i_minus) / y_c.shape[1]) / dy_c
+    m_t = ((quad.j_plus - quad.j_minus) / y_t.shape[1]) / dy_t
+    return m_c, m_t, fallback
 
 
 @quiet_overflow

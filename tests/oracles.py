@@ -122,15 +122,20 @@ def two_step_quad(n_c: int, n_t: int, q: float, z: float, m_c: float = 1.0, m_t:
     return i_minus, i_plus, j_minus, j_plus, clamp_i or clamp_j
 
 
+def lift_exponent(largest: float) -> int:
+    """The least k >= 0 with largest * 2^k >= 1/2; 0 for zero or infinity."""
+    return max(0, -math.frexp(largest)[1])
+
+
 def two_step_interval(y_c, y_t, q: float, z: float) -> tuple[float, float, bool, bool]:
     """(lower, upper, slope_fallback, clamped_index) of the two-step interval.
 
     Step 1 takes equal slopes; step 2 the finite-difference slopes
     ((i_plus - i_minus) / n) / (y(i_plus) - y(i_minus)) across the step-1
-    span. A pair falls back to the step-1 quad when a spacing is zero, a
-    slope is 0 (its spacing overflowed), both slopes are infinite, or the
-    step-2 quad collapses. Raises InsufficientSampleError when step 1
-    collapses.
+    span, both spacings multiplied by 2^k, k = :func:`lift_exponent` of the
+    larger. A pair falls back to the step-1 quad when a spacing is zero or
+    infinite, or the step-2 quad collapses. Raises InsufficientSampleError
+    when step 1 collapses.
     """
     y_c, y_t = [float(v) for v in y_c], [float(v) for v in y_t]
     n_c, n_t = len(y_c), len(y_t)
@@ -140,11 +145,11 @@ def two_step_interval(y_c, y_t, q: float, z: float) -> tuple[float, float, bool,
     i_minus, i_plus, j_minus, j_plus, clamped = quad1
     dy_c, dy_t = y_c[i_plus - 1] - y_c[i_minus - 1], y_t[j_plus - 1] - y_t[j_minus - 1]
     quad = None
-    if dy_c > 0.0 and dy_t > 0.0:
-        m_c = ((i_plus - i_minus) / n_c) / dy_c
-        m_t = ((j_plus - j_minus) / n_t) / dy_t
-        if m_c != 0.0 and m_t != 0.0 and not (math.isinf(m_c) and math.isinf(m_t)):
-            quad = two_step_quad(n_c, n_t, q, z, m_c, m_t)
+    if 0.0 < dy_c < math.inf and 0.0 < dy_t < math.inf:
+        k = lift_exponent(max(dy_c, dy_t))
+        m_c = ((i_plus - i_minus) / n_c) / math.ldexp(dy_c, k)
+        m_t = ((j_plus - j_minus) / n_t) / math.ldexp(dy_t, k)
+        quad = two_step_quad(n_c, n_t, q, z, m_c, m_t)
     fallback = quad is None
     i_minus, i_plus, j_minus, j_plus, clamped2 = quad1 if fallback else quad
     lower = y_t[j_minus - 1] - y_c[i_plus - 1]
@@ -161,14 +166,11 @@ def rounded_square(x: float) -> float:
 
 
 def root_sum_square(a: float, b: float) -> float:
-    """sqrt(a^2 + b^2) with both squares from :func:`rounded_square`, taken at 2^k scale.
-
-    k >= 0 is the least exponent that lifts a nonzero max(|a|, |b|) to at
-    least 1/2; the root is divided by 2^k as an exact rational, rounded once.
+    """sqrt(a^2 + b^2) with both squares from :func:`rounded_square`, taken at
+    2^k scale, k = :func:`lift_exponent` of max(|a|, |b|); the root is
+    divided by 2^k as an exact rational, rounded once.
     """
-    largest, k = max(abs(a), abs(b)), 0
-    while 0 < math.ldexp(largest, k) < 0.5:
-        k += 1
+    k = lift_exponent(max(abs(a), abs(b)))
     root = math.sqrt(rounded_square(math.ldexp(a, k)) + rounded_square(math.ldexp(b, k)))
     return float(Fraction(root) / 2**k) if k else root
 

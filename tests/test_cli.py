@@ -396,6 +396,28 @@ class TestNoWarningReachesAUser:
             assert proc.stderr.startswith("error: price_bonnet: interval [-inf, inf]")
             assert proc.stderr.count("\n") == 1
 
+    # Two arms of normal values times 1e-310, whose step-1 slopes pass the
+    # float range unless their spacings are lifted first (step 2 is taken),
+    # and a constant control, whose zero spacing divides by zero (a fallback).
+    @pytest.mark.parametrize("control, flags", [("subnormal", []), ("constant", ["slope_fallback"])])
+    def test_python_w_error_on_two_step_float_edges(self, tmp_path, control, flags):
+        rng = np.random.default_rng(0)
+        arms = {
+            "subnormal": rng.normal(size=200) * 1e-310,
+            "constant": np.full(200, 3.0),
+            "treatment": rng.normal(size=200) * (1e-310 if control == "subnormal" else 1.0),
+        }
+        c, t = tmp_path / "c.csv", tmp_path / "t.csv"
+        for path, values in [(c, arms[control]), (t, arms["treatment"])]:
+            path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        proc = self._run_w_error(
+            ["ci", "--methods", "lr_two_step", "--control", str(c), "--treatment", str(t),
+             "--q", "0.5"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["flags"] == flags
+
     # Subnormal arms, whose one-sample spreads square to below the float
     # range, and arms whose widths sum past it.
     @pytest.mark.parametrize("dist", ["normal(0,1e-310)", "uniform(-8.5e307,8.5e307)"])
@@ -606,6 +628,18 @@ class TestSimulate:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: uniform width b - a overflows double precision")
+
+    def test_overflowing_true_difference_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--dist-c", "normal(-1e308,1)", "--dist-t", "normal(1e308,1)",
+             "--n-c", "50", "--n-t", "50", "--q", "0.5", "--replications", "10", "--seed", "1"],
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the true difference of the 0.5 quantiles, 1e+308 of normal(1e+308,1) "
+            "minus -1e+308 of normal(-1e+308,1), overflows double precision\n"
+        )
 
     def test_oversize_arrays_exit_2_naming_the_sizes(self, capsys, monkeypatch):
         # numpy refuses an array of 2**61 doubles (2**64 bytes) before it

@@ -61,6 +61,20 @@ def _rows_or_none(fn, y_c, y_t, spec):
         return None
 
 
+def _assert_rows_scale(method, y_c, y_t, spec, k):
+    """The method's rows on the blocks times 2^k are its rows times 2^k, bit
+    for bit, with the same flags."""
+    fn = ROW_FUNCTIONS[method]
+    base = _rows_or_none(fn, y_c, y_t, spec)
+    if base is None:
+        return
+    scaled = fn(np.ldexp(y_c, k), np.ldexp(y_t, k), spec)
+    assert scaled.lower.tobytes() == np.ldexp(base.lower, k).tobytes(), (method, k)
+    assert scaled.upper.tobytes() == np.ldexp(base.upper, k).tobytes(), (method, k)
+    flags = {name: mask.tolist() for name, mask in base.flags.items()}
+    assert {name: mask.tolist() for name, mask in scaled.flags.items()} == flags, (method, k)
+
+
 _seed = hst.integers(0, 2**32 - 1)
 _kind = hst.sampled_from(["continuous", "tied", "constant"])
 _alpha = hst.sampled_from([0.1, 0.05, 0.01])
@@ -179,19 +193,11 @@ def test_power_of_two_scale_equivariance(seed, n_c, n_t, tied, q, alpha, k):
     rng = np.random.default_rng(seed)
     y_c, y_t = _quarters(rng, 3, n_c, tied), _quarters(rng, 3, n_t, tied)
     spec = QuantileSpec(q, alpha)
-    for method, fn in ROW_FUNCTIONS.items():
-        base = _rows_or_none(fn, y_c, y_t, spec)
-        if base is None:
-            continue
-        scaled = fn(np.ldexp(y_c, k), np.ldexp(y_t, k), spec)
-        assert scaled.lower.tobytes() == np.ldexp(base.lower, k).tobytes(), (method, k)
-        assert scaled.upper.tobytes() == np.ldexp(base.upper, k).tobytes(), (method, k)
-        flags = {name: mask.tolist() for name, mask in base.flags.items()}
-        assert {name: mask.tolist() for name, mask in scaled.flags.items()} == flags, method
+    for method in ROW_FUNCTIONS:
+        _assert_rows_scale(method, y_c, y_t, spec, k)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+_subnormal_scale = given(
     seed=_seed,
     n_c=hst.integers(10, 80),
     n_t=hst.integers(10, 80),
@@ -200,6 +206,10 @@ def test_power_of_two_scale_equivariance(seed, n_c, n_t, tied, q, alpha, k):
     alpha=_alpha,
     k=hst.integers(-1068, -1000),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@_subnormal_scale
 # Squared one-sample spreads of these arms underflow to zero, which once
 # gave both baselines a point interval.
 @example(seed=0, n_c=50, n_t=50, tied=False, q=0.5, alpha=0.05, k=-1040)
@@ -216,3 +226,14 @@ def test_no_point_interval_at_subnormal_scale(seed, n_c, n_t, tied, q, alpha, k)
         scaled = fn(np.ldexp(y_c, k), np.ldexp(y_t, k), spec)
         wide = base.lower < base.upper
         assert (scaled.lower[wide] < scaled.upper[wide]).all(), (method, k)
+
+
+@settings(max_examples=200, deadline=None)
+@_subnormal_scale
+def test_two_step_scale_equivariance_at_subnormal_scale(seed, n_c, n_t, tied, q, alpha, k):
+    # The step-1 spacings are lifted by a power of two before their slopes
+    # are formed, so subnormal arms get the slopes, ratio and quad of the
+    # arms at unit scale: the rows scale by 2^k bit for bit, flags and all.
+    rng = np.random.default_rng(seed)
+    y_c, y_t = _quarters(rng, 3, n_c, tied), _quarters(rng, 3, n_t, tied)
+    _assert_rows_scale(Method.LR_TWO_STEP, y_c, y_t, QuantileSpec(q, alpha), k)

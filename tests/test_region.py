@@ -196,6 +196,34 @@ class TestConstrainedMaxIndexes:
             constrained_max_indexes(GRID_101, GRID_101, 0.5, math.inf)
 
 
+# Sizes around each power of two, where the search's first step and its
+# clamp at n change.
+_NEAR_POWERS_OF_TWO = sorted({m for p in range(7) for m in (2**p - 1, 2**p, 2**p + 1)} - {0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    rows=hst.integers(2, 6),
+    n=hst.one_of(hst.sampled_from(_NEAR_POWERS_OF_TWO), hst.integers(1, 70)),
+    tied=hst.booleans(),
+    size=hst.integers(1, 40),
+)
+def test_searchsorted_rows_matches_numpy_row_by_row(seed, rows, n, tied, size):
+    # Each key's count is numpy's search of its own row, on both sides, for
+    # keys equal to a value of the row (tied or not), half a unit off one,
+    # and +-inf.
+    rng = np.random.default_rng(seed)
+    block = np.sort(rng.integers(0, 3 if tied else 1000, size=(rows, n)).astype(float), axis=1)
+    row = rng.integers(0, rows, size=size)
+    keys = block[row, rng.integers(0, n, size=size)] + rng.choice([-0.5, 0.0, 0.0, 0.5], size=size)
+    infinite = rng.random(size) < 0.2
+    keys[infinite] = rng.choice([-np.inf, np.inf], size=infinite.sum())
+    for side in ("left", "right"):
+        want = [np.searchsorted(block[r], key, side=side) for r, key in zip(row, keys)]
+        assert region._searchsorted_rows(block, row, keys, side).tolist() == want, side
+
+
 class TestLRTest:
     def test_identical_d0(self):
         r = lr_test(GRID_101, GRID_101, _spec(), 0.0)

@@ -276,6 +276,17 @@ class TestScenarioSpec:
         with pytest.raises(DomainError):
             _scenario(replications=2**64 + 1)
 
+    @pytest.mark.parametrize(
+        "dist_c, dist_t", [((-1e308, 1.0), (1e308, 1.0)), ((1e308, 1.0), (1.7e308, 1e308))]
+    )
+    def test_true_difference_past_the_float_range(self, dist_c, dist_t):
+        # Two finite quantiles whose difference overflows, and a quantile
+        # mu + sigma z that itself overflows: neither is a true difference.
+        with pytest.raises(DomainError, match="true difference of the 0.9 quantiles"):
+            _scenario(
+                dist_c=Distribution.normal(*dist_c), dist_t=Distribution.normal(*dist_t), q=0.9
+            )
+
 
 class TestRunCoverageStudy:
     def test_row_shape_and_order(self):

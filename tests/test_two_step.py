@@ -70,9 +70,9 @@ class TestStep1Indexes:
             assert quad.j_plus == min(math.ceil(n_t * q + z * s), n_t)
 
 
-# Arms that reach every fallback path: ties, constant rows, spacing below
-# 1e-308 / n (whose slopes overflow to infinity), spacing past the float
-# range (whose slope is 0) and scales near 1e+-300.
+# Arms that reach every fallback path: ties, constant rows and spacing past
+# the float range (whose slope is 0); and scales near 1e+-300 and
+# subnormal spacing (whose slopes take step 2 at a lifted scale).
 _ARMS = {
     "normal": lambda rng, n: rng.normal(size=n),
     "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
@@ -97,6 +97,17 @@ def _sloped(n, start, slope):
     index start to k, slope a power of two: the step-1 slope estimate read
     from a span starting at ``start`` is ``slope`` bit for bit."""
     return ingest_sample(((np.arange(1, n + 1) - start) / n) / slope)
+
+
+def _assert_step2_at_scale(control, treatment, k, spec):
+    """two_step_ci takes step 2 on arms at scale 2^k, with the flags of the
+    arms times 2^-k and their endpoints times 2^k, bit for bit (every value
+    is exact at both scales)."""
+    got = two_step_ci(control, treatment, spec)
+    unit = two_step_ci(*(ingest_sample(np.ldexp(y.values, -k)) for y in (control, treatment)), spec)
+    assert "slope_fallback" not in got.flags
+    assert got.flags == unit.flags
+    assert (got.lower, got.upper) == (math.ldexp(unit.lower, k), math.ldexp(unit.upper, k))
 
 
 def _matches_oracle(control, treatment, spec):
@@ -214,13 +225,22 @@ class TestStep2Indexes:
         assert ci.flags == {"slope_fallback"}
         assert (ci.lower, ci.upper) == _step1_endpoints(control, treatment, _spec())
 
+    def test_subnormal_spacings_take_step2(self):
+        # Spacings below 1e-308 / n: both plain slopes k/n/dy pass the float
+        # range, while spacings lifted together by a power of two keep the
+        # larger slope finite and the ratio of the arms at unit scale.
+        rng = np.random.default_rng(4)
+        control = ingest_sample(_ARMS["subnormal"](rng, 200))
+        treatment = ingest_sample(_ARMS["subnormal"](rng, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_step2_at_scale(control, treatment, -1030, _spec())
+
     @pytest.mark.parametrize(
-        "kind_c, kind_t",
-        [("subnormal", "subnormal"), ("far", "normal"), ("normal", "far"), ("far", "far")],
+        "kind_c, kind_t", [("far", "normal"), ("normal", "far"), ("far", "far")]
     )
     def test_no_positive_ratio_falls_back(self, kind_c, kind_t):
-        # Spacings below 1e-308 / n give two infinite slopes, whose ratio is
-        # NaN; a spacing past the float range gives a zero slope.
+        # A spacing past the float range gives a zero slope.
         rng = np.random.default_rng(4)
         control = ingest_sample(_ARMS[kind_c](rng, 200))
         treatment = ingest_sample(_ARMS[kind_t](rng, 200))
@@ -327,6 +347,8 @@ class TestTwoStepRowsMatchPublicSteps:
         kinds=hst.lists(hst.tuples(hst.sampled_from(list(_ARMS)), hst.sampled_from(list(_ARMS))),
                         min_size=1, max_size=6),
     )
+    # Subnormal arms take step 2; a "tiny" arm's squared slope ratio and a
+    # "far" arm's spacing pass the float range.
     @example(seed=0, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("subnormal", "subnormal")])
     @example(seed=1, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("normal", "tiny")])
     @example(seed=2, n_c=200, n_t=200, q=0.5, alpha=0.05, kinds=[("far", "normal"), ("far", "far")])
@@ -351,14 +373,15 @@ class TestTwoStepRowsMatchPublicSteps:
             )
             assert got == want, kinds[r]
 
-    def test_subnormal_spacing_falls_back_without_warnings(self):
-        # Both slopes overflow to infinity, so their ratio is NaN: a fallback,
-        # reported with no numpy warning.
+    def test_subnormal_arms_take_step2_quietly(self):
+        # Slopes k/n over spacings near 1e-311 pass the float range unless
+        # the spacings are lifted first; the rows take step 2, as the
+        # oracle and the arms at unit scale do, with no numpy warning.
         rng = np.random.default_rng(3)
         control = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
         treatment = ingest_sample(rng.uniform(0.0, 1e-310, size=200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ci = _matches_oracle(control, treatment, _spec())
-        assert ci.flags == {"slope_fallback"}
-        assert (ci.lower, ci.upper) == _step1_endpoints(control, treatment, _spec())
+            _assert_step2_at_scale(control, treatment, -1030, _spec())
+        assert not ci.flags
