@@ -62,12 +62,10 @@ class QuantileSpec:
     def __post_init__(self) -> None:
         _check_probability(self.q, "q")
         _check_probability(self.alpha, "alpha")
-        # The critical value is the normal quantile at 1 - alpha/2, which
-        # must stay below 1.
-        if 1.0 - self.alpha / 2.0 == 1.0:
-            raise DomainError(
-                f"alpha={self.alpha!r} is too small: 1 - alpha/2 rounds to 1 in double precision"
-            )
+        # The critical value is the normal quantile at alpha/2, which
+        # must stay above 0.
+        if self.alpha / 2.0 == 0.0:
+            raise DomainError(f"alpha={self.alpha!r} is too small: alpha/2 rounds to 0")
         # The binomial log-pmf divides a count by n q, which stays finite
         # only for a normal (not subnormal) q.
         if self.q < sys.float_info.min:
@@ -83,6 +81,8 @@ class OrderedSample:
 
     Construct via :func:`ingest_sample` (which sorts) or directly from
     already-sorted values, all finite. ``n`` is the number of values.
+    A one-dimensional float64 array is stored as it is, not copied, and
+    made read-only, so the caller's array is read-only afterwards too.
     """
 
     values: np.ndarray

@@ -207,18 +207,35 @@ class TestCI:
 
     @pytest.mark.parametrize("command", ["ci", "simulate"])
     def test_alpha_too_small_for_its_quantile_exits_2(self, capsys, sample_files, command):
-        # 1 - alpha/2 rounds to 1.0, so the normal quantile behind the
-        # critical value would get p = 1.0, an argument nobody passed.
+        # alpha/2 rounds to 0, so the normal quantile behind the critical
+        # value would get p = 0, an argument nobody passed. Only the
+        # smallest subnormal does this.
         c, t = sample_files
         args = {
             "ci": ["ci", "--control", c, "--treatment", t],
             "simulate": ["simulate", "--replications", "2"],
         }[command]
-        code, out, err = _run(capsys, [*args, "--q", "0.5", "--alpha", "1e-300"])
+        code, out, err = _run(capsys, [*args, "--q", "0.5", "--alpha", "5e-324"])
         assert code == 2 and out == ""
-        assert err == (
-            "error: alpha=1e-300 is too small: 1 - alpha/2 rounds to 1 in double precision\n"
+        assert err == "error: alpha=5e-324 is too small: alpha/2 rounds to 0\n"
+
+    def test_tiny_alpha_follows_the_formula(self, capsys, sample_files):
+        # z = -Phi^-1(1e-300 / 2) = 37.07: every interval reaches past the
+        # sample, so each record carries the clamped flag.
+        c, t = sample_files
+        code, out, err = _run(
+            capsys, ["ci", "--control", c, "--treatment", t, "--q", "0.5", "--alpha", "1e-300"]
         )
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 4
+        assert all(r["alpha"] == 1e-300 and "clamped_index" in r["flags"] for r in records)
+        code, out, err = _run(
+            capsys, ["simulate", "--replications", "2", "--q", "0.5", "--alpha", "1e-300"]
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4 and all(row["alpha"] == "1e-300" for row in rows)
 
     @pytest.mark.parametrize("command", ["ci", "region", "simulate"])
     def test_subnormal_q_exits_2(self, capsys, sample_files, command):
@@ -639,6 +656,21 @@ class TestSimulate:
         assert err == (
             "error: the true difference of the 0.5 quantiles, 1e+308 of normal(1e+308,1) "
             "minus -1e+308 of normal(-1e+308,1), overflows double precision\n"
+        )
+
+    def test_overflowing_lr_shift_ends_the_whole_study(self, capsys):
+        # The LR rejection count shifts a whole block of treatment arms by the
+        # true difference and raises if any value overflows, so the study
+        # ends with exit 3 instead of counting failed replications.
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--dist-c", "normal(-1.7e308,1)", "--dist-t", "normal(0,1e307)",
+             "--n-c", "50", "--n-t", "50", "--q", "0.5", "--replications", "20", "--seed", "1"],
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "error: shifting the treatment values by d = 1.7e+308 overflows double "
+            "precision; rescale the samples\n"
         )
 
     def test_oversize_arrays_exit_2_naming_the_sizes(self, capsys, monkeypatch):

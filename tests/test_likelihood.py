@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
@@ -19,7 +20,7 @@ from quantdiff import (
     normal_quantile,
 )
 from quantdiff.errors import DomainError, IndexOutOfRangeError
-from quantdiff.likelihood import deficits
+from quantdiff.likelihood import deficits, two_sided_z
 
 from oracles import exact_binom_pmf, exact_log_binom_pmf, mode_index, ratio_walk_deficits
 
@@ -180,21 +181,21 @@ class TestLRStatistic:
 
 
 class TestNormalQuantile:
+    # Log-spaced p from the smallest subnormal to 0.5, and their complements.
+    LOWER = np.logspace(-323.3, math.log10(0.5), 4001)
+
     def test_against_scipy(self):
-        ps = np.concatenate(
-            [
-                np.linspace(1e-10, 1 - 1e-10, 2001),
-                [1e-12, 1e-15, 1 - 1e-12, 0.02425, 1 - 0.02425],
-            ]
-        )
+        ps = np.concatenate([[5e-324], self.LOWER, 1.0 - self.LOWER[self.LOWER >= 1e-16]])
         for p in ps:
             got = normal_quantile(float(p))
-            want = scipy.stats.norm.ppf(p)
-            assert abs(got - want) <= 1e-8, (p, got, want)
+            want = float(scipy.special.ndtri(p))
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), (p, got, want)
 
-    def test_symmetry(self):
-        for p in (0.001, 0.1, 0.3, 0.45):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-12)
+    @settings(max_examples=2000, deadline=None)
+    @given(hst.floats(min_value=0.5, max_value=1.0, exclude_max=True))
+    def test_symmetry(self, p):
+        # 1 - p is exact for p in [0.5, 1).
+        assert normal_quantile(p) == -normal_quantile(1.0 - p)
 
     def test_median_exact_zero(self):
         assert normal_quantile(0.5) == 0.0
@@ -206,6 +207,13 @@ class TestNormalQuantile:
 
 
 class TestChiSquare1df:
+    @pytest.mark.parametrize(
+        "alpha", [0.2, 0.1, 0.05, 0.01, 1e-3, 1e-8, 1e-15, 1e-100, 1e-300]
+    )
+    def test_two_sided_z_within_1e_15_of_scipy(self, alpha):
+        want = -float(scipy.special.ndtri(alpha / 2))
+        assert two_sided_z(alpha) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_frozen_quantiles(self):
         assert chi2_quantile_1df(0.05) == pytest.approx(3.8414588206941285, abs=1e-8)
         assert chi2_quantile_1df(0.01) == pytest.approx(6.634896601021217, abs=1e-8)
