@@ -339,21 +339,121 @@ def acceptance_grid(
     return _region(n_c, n_t, spec, use_exact)
 
 
+# Bytes per h field: the longest %.9g text of a double, "-1.23456789e-100".
+_H_WIDTH = 16
+# Cells formatted per step; every temporary of a step stays small.
+_CHUNK_CELLS = 4096
+# 10^e for the decades e = -4..8 that %.9g prints in fixed notation, and
+# 10^(8 - e), which scales a value of decade e to 9 integer digits (exact).
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 9)])
+_SCALES = np.array([float(10 ** (8 - e)) for e in range(-4, 9)])
+
+
+def _lanes(x: int) -> list[int]:
+    """A 128-bit integer as its [low, high] 64-bit halves."""
+    return [x & (2**64 - 1), x >> 64]
+
+
+@functools.cache
+def _h_format_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_h_fields``, built on the first export.
+
+    Text is held as a little-endian 128-bit integer, byte n at bits 8n, in
+    two uint64 lanes. ``words[w]`` is the 4 ASCII digits of w < 10,000 and
+    ``zeros[w]`` their trailing zeros. Row e + 4 of ``decades`` lays out
+    decade e: the 9 digit bytes of a value keep their integer digits in
+    place (mask in columns 0-1), move the rest up by the bits in column 2
+    (column 3 is 64 less that), and the point, or "0." and -e-1 zeros,
+    fills the gap (columns 4-5). ``lengths[10 * (e + 4) + m]`` is the
+    length of the text when m digits remain after the trailing zeros, and
+    ``prefixes[n]`` masks a text's first n bytes.
+    """
+    w = np.arange(10_000, dtype=np.uint64)
+    words = sum((w // 10**k % 10 + ord("0")) << 8 * (3 - k) for k in range(4))
+    zeros = sum(w % 10**k == 0 for k in range(1, 5))
+    decades, lengths = [], []
+    for e in range(-4, 9):
+        ints = max(e + 1, 0)
+        gap = b"." if e >= 0 else b"0." + b"0" * (-e - 1)
+        stay = _lanes(2 ** (8 * ints) - 1)
+        add = _lanes(int.from_bytes(b"\0" * ints + gap, "little"))
+        decades.append([*stay, 8 * len(gap), 64 - 8 * len(gap), *add])
+        lengths += [(ints if m <= ints else m + 1) if e >= 0 else 1 - e + m for m in range(10)]
+    prefixes = np.array([_lanes(2 ** (8 * n) - 1) for n in range(_H_WIDTH + 1)], dtype=np.uint64)
+    return words, zeros, np.array(decades, dtype=np.uint64), np.array(lengths), prefixes
+
+
+def _h_fields(h: np.ndarray) -> np.ndarray:
+    """``"%.9g" % v`` for each v of a 1-D float64 array, as rows of _H_WIDTH bytes, 0-padded.
+
+    A value in [1e-4, 1e9) prints in fixed notation. With 10^e <= v <
+    10^(e+1), s = v * 10^(8-e) < 2^30 is within 2^-24 of the exact
+    product, so when its fraction r is more than 1e-6 from one half and
+    1e8 <= floor(s) < 999,999,999, the 9 correctly rounded digits are
+    floor(s) + (r > 0.5), printed with the point after e + 1 of them and
+    trailing fraction zeros dropped. Every other value (0, exponent
+    notation, near-halfway products, decade edges) is formatted by
+    Python's %.9g.
+    """
+    words, zeros, decades, lengths, prefixes = _h_format_tables()
+    fixed = (h >= 1e-4) & (h < 1e9)
+    v = np.where(fixed, h, 1.0)
+    decade = np.searchsorted(_DECADES, v, side="right") - 1
+    s = v * _SCALES.take(decade)
+    f = np.floor(s)
+    r = s - f
+    fixed &= (np.abs(r - 0.5) > 1e-6) & (f >= 1e8) & (f < 999_999_999)
+    lead, rest = np.divmod((f + (r > 0.5)).astype(np.uint64), 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    lo = (lead + ord("0")) | words.take(mid) << 8 | words.take(low) << 40
+    hi = words.take(low) >> 24
+    layout = decades.take(decade, axis=0)
+    lo_stay, hi_stay = lo & layout[:, 0], hi & layout[:, 1]
+    lo_move = lo ^ lo_stay
+    out = np.empty((h.size, 2), dtype="<u8")
+    out[:, 0] = lo_stay | lo_move << layout[:, 2] | layout[:, 4]
+    out[:, 1] = hi_stay | (hi ^ hi_stay) << layout[:, 2] | lo_move >> layout[:, 3] | layout[:, 5]
+    kept = 9 - np.where(low > 0, zeros.take(low), 4 + zeros.take(mid))
+    out &= prefixes.take(lengths.take(10 * decade + kept), axis=0)
+    fields = out.view(np.uint8)
+    slow = np.flatnonzero(~fixed)
+    texts = ["%.9g" % x for x in h[slow].tolist()]
+    fields[slow] = np.array(texts, dtype=f"S{_H_WIDTH}").view(np.uint8).reshape(-1, _H_WIDTH)
+    return fields
+
+
+def _ascii_rows(values: range) -> np.ndarray:
+    """The decimal text of each integer as a row of ASCII bytes, 0-padded."""
+    text = np.array([str(v) for v in values], dtype="S")
+    return text.view(np.uint8).reshape(len(values), -1)
+
+
 def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
     """Serialize a grid as CSV: header i,j,h,accepted; booleans as 0/1.
 
     Cells run in ascending i, then j; h = g_c(i) + g_t(j) prints as %.9g,
     and accepted is h < threshold on the double, not its printed digits.
-    Every row spans the same j window, so each j's two cell texts (all but
-    i) are built once; a row picks one per cell by a single comparison,
-    joins them with its i and is formatted by one %.
+    Whole rows of about 4,096 cells at a time are laid out as one byte
+    matrix, a line per cell with 0 bytes as padding, and written with the
+    padding dropped. h is formatted by ``_h_fields``: in numpy from its
+    correctly rounded 9 digits when it prints in fixed notation and is
+    clear of a rounding tie, else by Python's %.9g (0, h < 1e-4, h >= 1e9,
+    and the few cells within 1e-6 of a tie or at a decade edge).
     """
     stream.write("i,j,h,accepted\n")
-    js = range(grid.j_lo, grid.j_lo + grid.g_t.size)
-    rejected = np.array([f",{j},%.9g,0\n" for j in js], dtype=object)
-    accepted = np.array([f",{j},%.9g,1\n" for j in js], dtype=object)
-    for i, g in enumerate(grid.g_c.tolist(), start=grid.i_lo):
-        hs = g + grid.g_t
-        i_field = str(i)
-        row = i_field + i_field.join(np.where(hs < grid.threshold, accepted, rejected))
-        stream.write(row % tuple(hs.tolist()))
+    i_text = _ascii_rows(range(grid.i_lo, grid.i_lo + grid.g_c.size))
+    j_text = _ascii_rows(range(grid.j_lo, grid.j_lo + grid.g_t.size))
+    j_at = i_text.shape[1] + 1
+    h_at = j_at + j_text.shape[1] + 1
+    rows = max(1, _CHUNK_CELLS // grid.g_t.size)
+    lines = np.zeros((rows, grid.g_t.size, h_at + _H_WIDTH + 3), dtype=np.uint8)
+    lines[:, :, [j_at - 1, h_at - 1, -3]] = ord(",")
+    lines[:, :, j_at : h_at - 1] = j_text
+    lines[:, :, -1] = ord("\n")
+    for r in range(0, grid.g_c.size, rows):
+        hs = grid.g_c[r : r + rows, None] + grid.g_t
+        block = lines[: hs.shape[0]]
+        block[:, :, : j_at - 1] = i_text[r : r + rows, None]
+        block[:, :, h_at : h_at + _H_WIDTH] = _h_fields(hs.ravel()).reshape(*hs.shape, _H_WIDTH)
+        block[:, :, -2] = ord("0") + (hs < grid.threshold)
+        stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))

@@ -451,6 +451,14 @@ class TestNoWarningReachesAUser:
                 assert rows[method]["failures"] == "0"
                 assert float(rows[method]["mean_width"]) > 0.0
 
+    # The exact grid has h = 0 at its mode cell, which the writer formats
+    # apart from the cells it prints in numpy.
+    def test_python_w_error_on_a_region_with_a_zero_cell(self):
+        proc = self._run_w_error(["region", "--n-c", "101", "--n-t", "101", "--exact", "--q", "0.5"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "51,51,0,1" in proc.stdout.splitlines()
+
 
 class TestTest:
     def test_identical_d0(self, capsys, identical_files):

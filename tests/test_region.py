@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,3 +528,71 @@ class TestAcceptanceGrid:
     def test_csv_bytes_match_per_cell_writer_large_asymptotic(self):
         grid = acceptance_grid(20_000, 30_000, _spec(q=0.9), use_exact=False)
         assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
+
+    # Shapes on each side of the writer's chunk of 4,096 cells: many rows
+    # to a chunk with a short last chunk, and rows longer than a chunk.
+    @pytest.mark.parametrize("n_i, n_j", [(1, 1), (1500, 7), (3, 5000)])
+    def test_csv_bytes_match_per_cell_writer_on_synthetic_deficits(self, n_i, n_j):
+        # Real grids keep h below ~50; these deficits span 1e-6..1e10 with
+        # exact zeros, so their cells reach exponent notation and h >= 1e9.
+        rng = np.random.default_rng(n_i * n_j)
+        grid = acceptance_grid(101, 101, _spec(), use_exact=True)
+
+        def deficits(n):
+            g = 10 ** rng.uniform(-6, 10, n)
+            g[rng.random(n) < 0.1] = 0.0
+            return g
+
+        synthetic = dataclasses.replace(grid, g_c=deficits(n_i), g_t=deficits(n_j))
+        assert self._csv(write_acceptance_grid_csv, synthetic) == self._csv(per_cell_grid_csv, synthetic)
+
+    def test_csv_export_memory_stays_bounded(self):
+        # The 200,000 x 100,000 grid's text is 12 MB; the writer holds a chunk.
+        grid = acceptance_grid(200_000, 100_000, _spec())
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            write_acceptance_grid_csv(grid, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+def _h_texts(values) -> list[str]:
+    """The writer's h field of each value, with its 0-byte padding dropped."""
+    fields = region._h_fields(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in fields]
+
+
+class TestHFields:
+    """The grid writer's vectorised %.9g against Python's, value by value."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(h=hst.floats(0.0, 1e12))
+    @example(h=0.0)
+    @example(h=5e-324)
+    @example(h=999999999.5)
+    @example(h=(123456789 + 0.5) / 10**8)
+    @example(h=(100000000 + 0.5) / 10**12)
+    @example(h=(999999998 + 0.5) / 10**4)
+    @example(h=math.nextafter(1e-4, -math.inf))
+    @example(h=math.nextafter(1e-4, math.inf))
+    @example(h=math.nextafter(1.0, -math.inf))
+    @example(h=math.nextafter(1e8, math.inf))
+    @example(h=math.nextafter(1e9, -math.inf))
+    def test_matches_format(self, h):
+        assert _h_texts([h]) == [format(h, ".9g")]
+
+    def test_matches_format_on_ties_decade_edges_and_a_log_sweep(self):
+        rng = np.random.default_rng(0)
+        digits = np.concatenate([[10**8, 10**9 - 2, 10**9 - 1], rng.integers(10**8, 10**9, 200)])
+        ties = [(k + 0.5) / 10**p for k in digits.tolist() for p in range(2, 17)]
+        powers = [10.0**e for e in range(-6, 11)]
+        edges = [math.nextafter(x, to) for x in powers for to in (-math.inf, math.inf)]
+        values = [0.0, *ties, *powers, *edges, *(10 ** rng.uniform(-6, 10, 20_000)).tolist()]
+        assert _h_texts(values) == [format(h, ".9g") for h in values]
