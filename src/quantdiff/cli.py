@@ -123,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _open_output(path: str) -> Iterator[IO[str]]:
+def _open_output(path: str, binary: bool = False) -> Iterator[IO]:
     if path == "-":
-        yield sys.stdout
+        yield sys.stdout.buffer if binary else sys.stdout
     else:
         # newline='' so the csv module's `\n` terminator is written verbatim
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
 
 
@@ -202,7 +202,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise ValidationError("provide --control/--treatment files or --n-c/--n-t sizes")
     spec = QuantileSpec(args.q, args.alpha)
     grid = acceptance_grid(n_c, n_t, spec, args.use_exact)
-    with _open_output(args.output) as out:
+    with _open_output(args.output, binary=True) as out:
         write_acceptance_grid_csv(grid, out)
     return 0
 

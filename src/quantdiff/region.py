@@ -14,7 +14,10 @@ acceptance region scans only the marginal index windows where the
 deficits stay below the chi-square threshold; everything outside is
 provably rejected, so the windowed scan is exact. The region depends on
 (n_c, n_t, q, alpha, statistic) alone, so it is built once per such key
-and shared by the conservative interval and the grid export.
+and shared by the conservative interval, the grid export and the coverage
+engine's LR decision. That decision needs no maximizer: a row is accepted
+when some count pair reachable at d lies in the exact region, so it reads
+the region, while :func:`lr_test` scans its one row for (i*, j*, H).
 """
 
 from __future__ import annotations
@@ -90,23 +93,15 @@ class AcceptanceGrid:
         ]
 
 
-def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, position) for each position start[k] .. start[k] + count[k] - 1, in order."""
-    k = np.repeat(np.arange(count.size), count)
-    return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
-
-
 def _searchsorted_rows(
     block: np.ndarray, row: np.ndarray, keys: np.ndarray, side: str
 ) -> np.ndarray:
     """``np.searchsorted(block[row[k]], keys[k], side)`` for each k; block rows are sorted.
 
-    Over several rows this is one binary-lifting search over all keys: a
-    count moves up by each power of two <= n, largest first, where the value
-    it reaches sorts before the key. One row takes numpy's own search.
+    One binary-lifting search over all keys: a count moves up by each power
+    of two <= n, largest first, where the value it reaches sorts before the
+    key. ``row`` broadcasts against ``keys``.
     """
-    if len(block) == 1:
-        return np.searchsorted(block[0], keys, side=side)
     n = block.shape[1]
     count = np.zeros(keys.shape, dtype=np.intp)
     for power in reversed(range(n.bit_length())):
@@ -116,84 +111,62 @@ def _searchsorted_rows(
     return count
 
 
-def _optimum(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the tau-interval [lo, hi) on which a sample's count is its optimum k."""
-    lo = y[:, k - 1] if k >= 1 else np.full(len(y), -math.inf)
-    hi = y[:, k] if k <= y.shape[1] - 1 else np.full(len(y), math.inf)
-    return lo, hi
+def _order_stats(y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """y(k), the k-th smallest value along the last axis of sorted y, for each count k.
 
-
-def _constrained_max_rows(
-    y_c: np.ndarray, y_t: np.ndarray, q: float, d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i*, j*, H) of :func:`lr_test` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
-
-    The one copy of the candidate rule. The counts are constant between
-    consecutive breakpoints (control values and shifted treatment values),
-    so a row's candidates are count pairs: the counts below the closed
-    span between the two optima, then the counts at or below each
-    breakpoint in the span. The score of a pair is its deficit sum
-    g_c(i) + g_t(j); the smallest score wins, ties going to the smallest
-    (i, j), which is the first maximum in ascending tau since both counts
-    grow with tau. H is the winning score.
+    y(0) is -inf and y(n + 1) is +inf, so a count k is the count of values
+    at or below tau exactly on the tau-interval [y(k), y(k + 1)).
     """
+    n = y.shape[-1]
+    value = y[..., np.clip(k, 1, n) - 1]
+    return np.where(k < 1, -math.inf, np.where(k > n, math.inf, value))
+
+
+def _shifted(y_t: np.ndarray, d: float) -> np.ndarray:
+    """The treatment values minus d; d must be finite and no shifted value may overflow."""
     if not math.isfinite(d):
         raise ValidationError(f"shift d must be finite, got {d!r}")
     with np.errstate(over="ignore"):
-        y_t = y_t - d
-    if not np.isfinite(y_t).all():
+        t = y_t - d
+    if not np.isfinite(t).all():
         raise NumericOverflowError(
             f"shifting the treatment values by d = {d!r} overflows double precision; "
             "rescale the samples"
         )
-    n_c, n_t = y_c.shape[1], y_t.shape[1]
-    k_c = max_likelihood_index(q, n_c)
-    k_t = max_likelihood_index(q, n_t)
-    lo_c, hi_c = _optimum(y_c, k_c)
-    lo_t, hi_t = _optimum(y_t, k_t)
-    i_star = np.full(len(y_c), k_c)
-    j_star = np.full(len(y_c), k_t)
-    h = np.zeros(len(y_c))
-    # Where the optima overlap, the constraint binds nowhere and H = 0.
-    bound = np.flatnonzero(~(np.maximum(lo_c, lo_t) < np.minimum(hi_c, hi_t)))
-    if bound.size:
-        span_lo = np.minimum(lo_c, lo_t)[bound]
-        span_hi = np.maximum(hi_c, hi_t)[bound]
-        # Each bound row's distinct breakpoints inside the span; equal
-        # breakpoints give equal counts, so a tie block is one candidate.
-        # Finite span edges are themselves breakpoints, so no row is empty.
-        # Rows are numbered 0..B-1 from here on; bound[k] is row k's row in
-        # the blocks.
-        below, values, owner = [], [], []
-        for y in (y_c, y_t):
-            start = _searchsorted_rows(y, bound, span_lo, "left")
-            stop = _searchsorted_rows(y, bound, span_hi, "right")
-            k, col = _ranges(start, stop - start)
-            value = y[bound[k], col]
-            new = np.ones(k.size, dtype=bool)
-            new[1:] = (value[1:] != value[:-1]) | (k[1:] != k[:-1])
-            below.append(start)
-            values.append(value[new])
-            owner.append(k[new])
-        points, row = np.concatenate(values), np.concatenate(owner)
-        rows = np.arange(bound.size)
-        i = np.concatenate([below[0], _searchsorted_rows(y_c, bound[row], points, "right")])
-        j = np.concatenate([below[1], _searchsorted_rows(y_t, bound[row], points, "right")])
-        row = np.concatenate([rows, row])
-        score = deficits(i, q, n_c) + deficits(j, q, n_t)
-        # Each row's smallest score, then the smallest (i, j) reaching it.
-        low = np.full(bound.size, np.inf)
-        np.minimum.at(low, row, score)
-        tied = np.flatnonzero(score == low[row])
-        order = tied[np.lexsort((j[tied], i[tied], row[tied]))]
-        best = order[np.searchsorted(row[order], rows)]
-        i_star[bound], j_star[bound], h[bound] = i[best], j[best], score[best]
-    return i_star, j_star, h
+    return t
 
 
 def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
-    """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted blocks."""
-    return _constrained_max_rows(y_c, y_t, spec.q, d)[2] >= chi2_quantile_1df(spec.alpha)
+    """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
+
+    A read of the exact region: a row accepts when a count pair reachable
+    at d has g_c(i) + g_t(j) below the threshold (the sum, not the region's
+    budget rule, so this is exactly H >= threshold). Only accepted rows i
+    can. On [y_c(i), y_c(i + 1)), empty at a tie, the reachable j are
+    j_lo = #{t <= y_c(i)} and the tie-block ends of t = y_t - d up to
+    j_hi = #{t < y_c(i + 1)}; g_t is unimodal, so the best is the last block
+    end at or below k_t or the first at or above it, clipped into
+    [j_lo, j_hi]. Outside the window g_t counts as +inf.
+    """
+    t = _shifted(y_t, d)
+    n_c, n_t = y_c.shape[1], t.shape[1]
+    region = _build_region(n_c, n_t, spec.q, spec.alpha, True)
+    k_t = max_likelihood_index(spec.q, n_t)
+    i = region.accepted_i
+    rows = np.arange(len(y_c))[:, None]
+    lo, hi = _order_stats(y_c, i), _order_stats(y_c, i + 1)
+    j_lo = _searchsorted_rows(t, rows, lo, "right")
+    j_hi = _searchsorted_rows(t, rows, hi, "left")
+    down = _searchsorted_rows(t, rows, _order_stats(t, np.array([k_t + 1])), "left")
+    up = _searchsorted_rows(t, rows, _order_stats(t, np.array([k_t])), "right")
+    g_t = np.concatenate([[math.inf], region.g_t, [math.inf]])
+
+    def g(j: np.ndarray) -> np.ndarray:
+        """g_t at j clipped into [j_lo, j_hi]; +inf outside the window."""
+        return g_t[np.clip(np.clip(j, j_lo, j_hi) - region.j_lo + 1, 0, g_t.size - 1)]
+
+    score = region.g_c[i - region.i_lo] + np.minimum(g(down), g(up))
+    return ~((score < region.threshold) & (lo < hi)).any(axis=1)
 
 
 def lr_test(
@@ -203,20 +176,39 @@ def lr_test(
     control q-quantile by exactly d.
 
     The statistic is the exact H at the constrained maximizer (i*, j*),
-    where i counts control values below tau and j treatment values below
-    tau + d; likelihood ties go to the smallest (i, j), the first maximum
-    in ascending tau. Under the null H is asymptotically chi-square with
-    one degree of freedom, so the p-value is that distribution's tail
-    beyond the statistic.
+    where i counts control values at or below tau and j treatment values
+    at or below tau + d; likelihood ties go to the smallest (i, j), the
+    first maximum in ascending tau. Under the null H is asymptotically
+    chi-square with one degree of freedom, so the p-value is that
+    distribution's tail beyond the statistic. Where the optima overlap,
+    H = 0; otherwise the candidates run in ascending tau, so the first
+    smallest deficit sum g_c(i) + g_t(j) has the smallest (i, j).
     """
-    i, j, h = _constrained_max_rows(control.values[None], treatment.values[None], spec.q, d)
-    statistic = float(h[0])
+    y_c, t = control.values, _shifted(treatment.values, d)
+    q = spec.q
+    k_c, k_t = max_likelihood_index(q, y_c.size), max_likelihood_index(q, t.size)
+    lo_c, hi_c = _order_stats(y_c, np.array([k_c, k_c + 1]))
+    lo_t, hi_t = _order_stats(t, np.array([k_t, k_t + 1]))
+    if max(lo_c, lo_t) < min(hi_c, hi_t):
+        i_star, j_star, statistic = k_c, k_t, 0.0
+    else:
+        span_lo, span_hi = min(lo_c, lo_t), max(hi_c, hi_t)
+        starts = [np.searchsorted(y, span_lo) for y in (y_c, t)]
+        stops = [np.searchsorted(y, span_hi, "right") for y in (y_c, t)]
+        points = np.sort(np.concatenate([y_c[starts[0] : stops[0]], t[starts[1] : stops[1]]]))
+        # Distinct by hand: np.unique would import numpy.ma, 15-25 ms per process.
+        points = points[np.append(True, points[1:] != points[:-1])]
+        i = np.append(starts[0], np.searchsorted(y_c, points, "right"))
+        j = np.append(starts[1], np.searchsorted(t, points, "right"))
+        score = deficits(i, q, y_c.size) + deficits(j, q, t.size)
+        best = int(np.argmin(score))
+        i_star, j_star, statistic = int(i[best]), int(j[best]), float(score[best])
     return LRTestResult(
         d=d,
         statistic=statistic,
         p_value=chi2_sf_1df(statistic),
-        i_star=int(i[0]),
-        j_star=int(j[0]),
+        i_star=i_star,
+        j_star=j_star,
     )
 
 
@@ -428,8 +420,8 @@ def _ascii_rows(values: range) -> np.ndarray:
     return text.view(np.uint8).reshape(len(values), -1)
 
 
-def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
-    """Serialize a grid as CSV: header i,j,h,accepted; booleans as 0/1.
+def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[bytes]) -> None:
+    """Serialize a grid as ASCII CSV to a binary stream: header i,j,h,accepted; booleans as 0/1.
 
     Cells run in ascending i, then j; h = g_c(i) + g_t(j) prints as %.9g,
     and accepted is h < threshold on the double, not its printed digits.
@@ -440,7 +432,7 @@ def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
     clear of a rounding tie, else by Python's %.9g (0, h < 1e-4, h >= 1e9,
     and the few cells within 1e-6 of a tie or at a decade edge).
     """
-    stream.write("i,j,h,accepted\n")
+    stream.write(b"i,j,h,accepted\n")
     i_text = _ascii_rows(range(grid.i_lo, grid.i_lo + grid.g_c.size))
     j_text = _ascii_rows(range(grid.j_lo, grid.j_lo + grid.g_t.size))
     j_at = i_text.shape[1] + 1
@@ -456,4 +448,4 @@ def write_acceptance_grid_csv(grid: AcceptanceGrid, stream: IO[str]) -> None:
         block[:, :, : j_at - 1] = i_text[r : r + rows, None]
         block[:, :, h_at : h_at + _H_WIDTH] = _h_fields(hs.ravel()).reshape(*hs.shape, _H_WIDTH)
         block[:, :, -2] = ord("0") + (hs < grid.threshold)
-        stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+        stream.write(block.tobytes().translate(None, b"\0"))

@@ -292,8 +292,8 @@ def _per_line_values(lines, name: str, skip_header: bool) -> np.ndarray:
 
 
 def per_cell_grid_csv(grid, stream) -> None:
-    """The grid CSV written one f-string per cell: i,j,h (9 digits),accepted."""
-    stream.write("i,j,h,accepted\n")
+    """The grid CSV written one f-string per cell, as ASCII bytes: i,j,h (9 digits),accepted."""
+    stream.write(b"i,j,h,accepted\n")
     j_fields = [f",{j}," for j in range(grid.j_lo, grid.j_lo + grid.g_t.size)]
     threshold = grid.threshold
     for i, g in enumerate(grid.g_c.tolist(), start=grid.i_lo):
@@ -305,7 +305,7 @@ def per_cell_grid_csv(grid, stream) -> None:
                     f"{i_field}{j}{h:.9g},{'1' if h < threshold else '0'}\n"
                     for j, h in zip(j_fields, hs)
                 ]
-            )
+            ).encode("ascii")
         )
 
 

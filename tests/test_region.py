@@ -122,8 +122,8 @@ class TestConstrainedMaxIndexes:
 
     def test_block_rows_match_one_pair_calls(self):
         # The coverage engine decides the LR test for many replications at
-        # once; every row must get the (i*, j*) and the decision of its own
-        # one-pair call.
+        # once, by a read of the region; every row must get the decision of
+        # its own one-pair call.
         rng = np.random.default_rng(44)
         for trial in range(60):
             n_c, n_t, rows = int(rng.integers(1, 80)), int(rng.integers(1, 80)), 9
@@ -136,15 +136,9 @@ class TestConstrainedMaxIndexes:
             y_t.sort(axis=1)
             spec = _spec(q=float(rng.choice([0.05, 0.3, 0.5, 0.95])))
             d = float(rng.choice([0.0, 0.5, -2.0, 10.0, rng.normal()]))
-            i, j, h = region._constrained_max_rows(y_c, y_t, spec.q, d)
             rejects = region.lr_rejections(y_c, y_t, spec, d)
             for r in range(rows):
-                control, treatment = OrderedSample(y_c[r]), OrderedSample(y_t[r])
-                got = (i[r], j[r])
-                assert got == constrained_max_indexes(control, treatment, spec.q, d), (trial, r)
-                want = lr_test(control, treatment, spec, d)
-                assert (want.i_star, want.j_star) == got, (trial, r)
-                assert float(h[r]).hex() == want.statistic.hex(), (trial, r)
+                want = lr_test(OrderedSample(y_c[r]), OrderedSample(y_t[r]), spec, d)
                 assert rejects[r] == want.rejects_at(spec.alpha), (trial, r)
 
     def test_gap_one_double_wide(self):
@@ -205,7 +199,7 @@ _NEAR_POWERS_OF_TWO = sorted({m for p in range(7) for m in (2**p - 1, 2**p, 2**p
 @settings(max_examples=300, deadline=None)
 @given(
     seed=hst.integers(0, 2**32 - 1),
-    rows=hst.integers(2, 6),
+    rows=hst.integers(1, 6),
     n=hst.one_of(hst.sampled_from(_NEAR_POWERS_OF_TWO), hst.integers(1, 70)),
     tied=hst.booleans(),
     size=hst.integers(1, 40),
@@ -223,6 +217,62 @@ def test_searchsorted_rows_matches_numpy_row_by_row(seed, rows, n, tied, size):
     for side in ("left", "right"):
         want = [np.searchsorted(block[r], key, side=side) for r, key in zip(row, keys)]
         assert region._searchsorted_rows(block, row, keys, side).tolist() == want, side
+
+
+class TestLRRejections:
+    """The coverage engine's region read decides each row as lr_test does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        rows=hst.integers(1, 9),
+        n_c=hst.one_of(hst.integers(1, 5), hst.integers(1, 300)),
+        n_t=hst.one_of(hst.integers(1, 5), hst.integers(1, 300)),
+        kind=hst.sampled_from(["continuous", "rounded", "constant", "control ties"]),
+        q=hst.one_of(hst.sampled_from([0.001, 0.02, 0.5, 0.98, 0.999]), hst.floats(0.001, 0.999)),
+        alpha=hst.sampled_from([1e-6, 0.05, 0.9999]),
+        d=hst.one_of(
+            hst.just(0.0),
+            hst.floats(-3.0, 3.0),
+            hst.integers(-30, 30).map(lambda k: k / 10),
+            hst.sampled_from([-1e6, 1e6]),
+        ),
+    )
+    def test_rows_decide_as_lr_test(self, seed, rows, n_c, n_t, kind, q, alpha, d):
+        rng = np.random.default_rng(seed)
+        y_c, y_t = rng.normal(size=(rows, n_c)), rng.normal(0.3, 1.0, size=(rows, n_t))
+        decimals = int(rng.integers(0, 3))
+        if kind == "rounded":
+            y_c, y_t = np.round(y_c, decimals), np.round(y_t, decimals)
+        elif kind == "constant":
+            y_c, y_t = np.repeat(y_c[:, :1], n_c, axis=1), np.repeat(y_t[:, :1], n_t, axis=1)
+        elif kind == "control ties":
+            y_c = np.round(y_c, decimals)
+        y_c.sort(axis=1)
+        y_t.sort(axis=1)
+        spec = _spec(q=q, alpha=alpha)
+        rejects = region.lr_rejections(y_c, y_t, spec, d)
+        for r in range(rows):
+            want = lr_test(OrderedSample(y_c[r]), OrderedSample(y_t[r]), spec, d)
+            assert rejects[r] == want.rejects_at(alpha), r
+
+    def test_mode_count_inside_a_treatment_tie_block(self):
+        # Treatment values on a coarse grid: the 41st to 60th share the
+        # value 0, so the mode count 50 is never reached, and the nearest
+        # counts that are (40 and 60) have deficits near 3.99, between the
+        # 5% and 1% thresholds. Where a control interval straddles 0, j
+        # spans 40..60 and the mode lies inside that span, yet at 5% every
+        # d is rejected.
+        y_c = np.linspace(-1.0, 1.0, 101)[None]
+        y_t = np.repeat([-1.0, 0.0, 1.0], [40, 20, 40])[None]
+        treatment = OrderedSample(y_t[0])
+        for d in (-0.5, 0.0, 0.005, 0.5):
+            for alpha in (0.05, 0.01):
+                spec = _spec(alpha=alpha)
+                want = lr_test(OrderedSample(y_c[0]), treatment, spec, d)
+                assert want.j_star in (40, 60)
+                assert region.lr_rejections(y_c, y_t, spec, d)[0] == want.rejects_at(alpha)
+                assert want.rejects_at(alpha) == (alpha == 0.05)
 
 
 class TestLRTest:
@@ -488,9 +538,9 @@ class TestAcceptanceGrid:
 
     def test_csv_export(self):
         grid = acceptance_grid(3, 3, _spec(), use_exact=True)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_acceptance_grid_csv(grid, buf)
-        lines = buf.getvalue().splitlines()
+        lines = buf.getvalue().decode("ascii").splitlines()
         assert lines[0] == "i,j,h,accepted"
         assert len(lines) == 1 + len(grid.rows)
         first = lines[1].split(",")
@@ -503,8 +553,8 @@ class TestAcceptanceGrid:
             assert len(digits.lstrip("0")) <= 9 or "e" in h_field
 
     @staticmethod
-    def _csv(writer, grid) -> str:
-        buf = io.StringIO()
+    def _csv(writer, grid) -> bytes:
+        buf = io.BytesIO()
         writer(grid, buf)
         return buf.getvalue()
 
