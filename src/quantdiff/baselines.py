@@ -60,9 +60,9 @@ def _root_sum_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.square(a) + np.square(b)), -k)
 
 
-def _interval_rows(method: Method, spec: QuantileSpec, lower, upper, clamped: bool) -> IntervalRows:
+def _interval_rows(method: Method, lower, upper, clamped: bool) -> IntervalRows:
     flags = {"clamped_index": np.full(len(lower), clamped)}
-    return IntervalRows(method=method, alpha=spec.alpha, lower=lower, upper=upper, flags=flags)
+    return IntervalRows(method=method, lower=lower, upper=upper, flags=flags)
 
 
 @quiet_overflow
@@ -75,7 +75,7 @@ def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> I
     sd_c, sd_t = (upper_c - lower_c) / (2.0 * z), (upper_t - lower_t) / (2.0 * z)
     halfwidth = z * _root_sum_square(sd_t, sd_c)
     clamped = clamped_c or clamped_t
-    return _interval_rows(Method.PRICE_BONNET, spec, diff - halfwidth, diff + halfwidth, clamped)
+    return _interval_rows(Method.PRICE_BONNET, diff - halfwidth, diff + halfwidth, clamped)
 
 
 def price_bonnet_ci(
@@ -99,7 +99,7 @@ def donner_zou_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> Int
     diff = tau_t - tau_c
     upper = diff + _root_sum_square(upper_t - tau_t, tau_c - lower_c)
     lower = diff - _root_sum_square(tau_t - lower_t, upper_c - tau_c)
-    return _interval_rows(Method.DONNER_ZOU, spec, lower, upper, clamped_c or clamped_t)
+    return _interval_rows(Method.DONNER_ZOU, lower, upper, clamped_c or clamped_t)
 
 
 def donner_zou_ci(

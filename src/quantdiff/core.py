@@ -309,11 +309,13 @@ def power_of_two_lift(a: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """A two-sided confidence interval with its method tag and diagnostics."""
+    """A two-sided confidence interval with its method tag and diagnostics.
+
+    Its level is the ``alpha`` of the :class:`QuantileSpec` it was computed at.
+    """
 
     lower: float
     upper: float
-    alpha: float
     method: Method
     flags: frozenset[str] = field(default_factory=frozenset)
 
@@ -333,12 +335,12 @@ class IntervalRows:
     """One method's interval for each row pair of sorted (R, n_c) and (R, n_t) blocks.
 
     ``flags`` maps each flag name to a boolean mask over the rows. Every
-    interval function evaluates its formula this way; the one-sample
-    functions evaluate a one-row block and return :meth:`first`.
+    interval function evaluates its formula this way; the one-pair
+    functions evaluate a one-row block and return :meth:`first`. Like the
+    intervals, the rows carry no level: it is the spec's ``alpha``.
     """
 
     method: Method
-    alpha: float
     lower: np.ndarray
     upper: np.ndarray
     flags: dict[str, np.ndarray]
@@ -357,7 +359,6 @@ class IntervalRows:
         return ConfidenceInterval(
             lower=lower,
             upper=upper,
-            alpha=self.alpha,
             method=self.method,
             flags=frozenset(name for name, mask in self.flags.items() if mask[0]),
         )

@@ -143,16 +143,11 @@ def _log_pmf(counts: np.ndarray, q: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LRStatistic:
-    """Value of the likelihood-ratio statistic H at a grid point (i, j).
-
-    ``exact`` distinguishes the exact binomial form from the asymptotic
-    quadratic (de Moivre-Laplace) form.
-    """
+    """Value of the likelihood-ratio statistic H at a grid point (i, j)."""
 
     value: float
     i_star: int
     j_star: int
-    exact: bool
 
 
 def deficits(counts, q: float, n: int):
@@ -172,7 +167,7 @@ def deficits(counts, q: float, n: int):
     return np.where(g <= 0.0, 0.0, g)[inverse]
 
 
-def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int, exact: bool):
+def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int):
     """LRStatistic of deficit(i | q, n_c) + deficit(j | q, n_t) after the size and count checks."""
     if n_c < 1 or n_t < 1:
         raise DomainError("sample sizes must be >= 1")
@@ -181,7 +176,7 @@ def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: in
     if j < 0 or j > n_t:
         raise IndexOutOfRangeError(f"count j={j} outside [0, {n_t}]")
     value = float(deficit(i, spec.q, n_c) + deficit(j, spec.q, n_t))
-    return LRStatistic(value=value, i_star=i, j_star=j, exact=exact)
+    return LRStatistic(value=value, i_star=i, j_star=j)
 
 
 def lr_statistic_exact(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -> LRStatistic:
@@ -192,7 +187,7 @@ def lr_statistic_exact(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -
     floor(q*(n+1)) for each sample. Zero iff (i, j) is that maximizer.
     Counts outside [0, n] raise :class:`IndexOutOfRangeError`.
     """
-    return _lr_statistic(deficits, i, j, spec, n_c, n_t, exact=True)
+    return _lr_statistic(deficits, i, j, spec, n_c, n_t)
 
 
 def lr_statistic_asymptotic(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -> LRStatistic:
@@ -202,7 +197,7 @@ def lr_statistic_asymptotic(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: i
     (i - n_c q)^2 / (n_c q (1-q)) + (j - n_t q)^2 / (n_t q (1-q)).
     Counts outside [0, n] raise :class:`IndexOutOfRangeError`.
     """
-    return _lr_statistic(asymptotic_deficit, i, j, spec, n_c, n_t, exact=False)
+    return _lr_statistic(asymptotic_deficit, i, j, spec, n_c, n_t)
 
 
 def asymptotic_deficit(i, q: float, n: int):

@@ -17,7 +17,8 @@ provably rejected, so the windowed scan is exact. The region depends on
 and shared by the conservative interval, the grid export and the coverage
 engine's LR decision. That decision needs no maximizer: a row is accepted
 when some count pair reachable at d lies in the exact region, so it reads
-the region, while :func:`lr_test` scans its one row for (i*, j*, H).
+the region, at the control's mode count first, where most rows accept,
+while :func:`lr_test` scans its one row for (i*, j*, H).
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ class AcceptanceGrid:
     start at i_lo and j_lo. Row ``accepted_i[k]`` accepts exactly the
     counts ``j_first[k]..j_last[k]`` (g_t < threshold - g_c; g_t is
     unimodal, so the accepted j of a row are contiguous); rows that accept
-    nothing are left out. ``rows`` and the CSV export instead flag a cell
-    accepted when the rounded sum h < threshold, which differs only when h
-    rounds onto the threshold.
+    nothing are left out. The CSV export instead flags a cell accepted
+    when the rounded sum h < threshold, which differs only when h rounds
+    onto the threshold. ``exact`` names the statistic the deficits use.
 
     Grids are cached and shared, so every array is read-only.
     """
 
-    alpha: float
     exact: bool
     threshold: float
     i_lo: int
@@ -81,16 +81,6 @@ class AcceptanceGrid:
     accepted_i: np.ndarray
     j_first: np.ndarray
     j_last: np.ndarray
-
-    @property
-    def rows(self) -> list[tuple[int, int, float, bool]]:
-        """(i, j, h, accepted) for every window cell, row-major (i, then j)."""
-        js = range(self.j_lo, self.j_lo + self.g_t.size)
-        return [
-            (i, j, h, h < self.threshold)
-            for i, g in enumerate(self.g_c.tolist(), start=self.i_lo)
-            for j, h in zip(js, (g + self.g_t).tolist())
-        ]
 
 
 def _searchsorted_rows(
@@ -147,26 +137,33 @@ def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float
     j_hi = #{t < y_c(i + 1)}; g_t is unimodal, so the best is the last block
     end at or below k_t or the first at or above it, clipped into
     [j_lo, j_hi]. Outside the window g_t counts as +inf.
+
+    The control's mode count k_c is an accepted row (g_c(k_c) = 0 and the
+    least g_t is 0), and most rows accept there, so every row reads k_c
+    first, and only the rows that do not accept there read every accepted i.
     """
     t = _shifted(y_t, d)
     n_c, n_t = y_c.shape[1], t.shape[1]
     region = _build_region(n_c, n_t, spec.q, spec.alpha, True)
     k_t = max_likelihood_index(spec.q, n_t)
-    i = region.accepted_i
-    rows = np.arange(len(y_c))[:, None]
-    lo, hi = _order_stats(y_c, i), _order_stats(y_c, i + 1)
-    j_lo = _searchsorted_rows(t, rows, lo, "right")
-    j_hi = _searchsorted_rows(t, rows, hi, "left")
-    down = _searchsorted_rows(t, rows, _order_stats(t, np.array([k_t + 1])), "left")
-    up = _searchsorted_rows(t, rows, _order_stats(t, np.array([k_t])), "right")
+    rows = np.arange(len(y_c))
+    down = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t + 1])), "left")
+    up = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t])), "right")
     g_t = np.concatenate([[math.inf], region.g_t, [math.inf]])
 
-    def g(j: np.ndarray) -> np.ndarray:
-        """g_t at j clipped into [j_lo, j_hi]; +inf outside the window."""
-        return g_t[np.clip(np.clip(j, j_lo, j_hi) - region.j_lo + 1, 0, g_t.size - 1)]
+    def accepts(y: np.ndarray, r: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Whether control rows y, the block's rows r, each accept at some count of i."""
+        lo, hi = _order_stats(y, i), _order_stats(y, i + 1)
+        j_lo = _searchsorted_rows(t, r[:, None], lo, "right")
+        j_hi = _searchsorted_rows(t, r[:, None], hi, "left")
+        ends = np.clip(np.clip([down[r], up[r]], j_lo, j_hi) - region.j_lo + 1, 0, g_t.size - 1)
+        score = region.g_c[i - region.i_lo] + g_t[ends].min(axis=0)
+        return ((score < region.threshold) & (lo < hi)).any(axis=1)
 
-    score = region.g_c[i - region.i_lo] + np.minimum(g(down), g(up))
-    return ~((score < region.threshold) & (lo < hi)).any(axis=1)
+    accepted = accepts(y_c, rows, np.array([max_likelihood_index(spec.q, n_c)]))
+    rest = np.flatnonzero(~accepted)
+    accepted[rest] = accepts(y_c[rest], rest, region.accepted_i)
+    return ~accepted
 
 
 def lr_test(
@@ -254,7 +251,7 @@ def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> Ac
     arrays = (g_c, g_t, i_lo + rows, j_first, j_last)
     for arr in arrays:
         arr.setflags(write=False)
-    return AcceptanceGrid(alpha, exact, threshold, i_lo, j_lo, *arrays)
+    return AcceptanceGrid(exact, threshold, i_lo, j_lo, *arrays)
 
 
 def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> AcceptanceGrid:
@@ -288,7 +285,6 @@ def conservative_rows(
     # so the sign of a zero endpoint does not depend on numpy's reduction order.
     return IntervalRows(
         method=Method.LR_CONSERVATIVE,
-        alpha=spec.alpha,
         lower=lows[rows, lows.argmin(axis=1)],
         upper=highs[rows, highs.argmax(axis=1)],
         flags={"clamped_index": np.full(len(y_c), clamped)},
@@ -320,11 +316,12 @@ def conservative_ci(
 def acceptance_grid(
     n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None = None
 ) -> AcceptanceGrid:
-    """H over every index pair in the marginal windows, with accept flags.
+    """The acceptance region over the marginal windows, as its arrays.
 
-    Output is plot-ready: the accepted set is the integer ellipse (exactly
-    under the asymptotic statistic, approximately under the exact one).
-    Equal arguments return the same shared, read-only grid.
+    H of a cell is ``g_c[:, None] + g_t``, accepted below ``threshold``;
+    the accepted set is the integer ellipse (exactly under the asymptotic
+    statistic, approximately under the exact one). Equal arguments return
+    the same shared, read-only grid.
     """
     if n_c < 1 or n_t < 1:
         raise ValidationError("sample sizes must be >= 1")

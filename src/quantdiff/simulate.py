@@ -49,17 +49,6 @@ from .region import conservative_ci, conservative_rows, lr_rejections
 from .two_step import two_step_ci, two_step_rows
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A ``concurrent.futures`` process pool, imported only when a study opens one.
-
-    The import pulls in multiprocessing, socket and subprocess, which
-    nothing else in the package needs.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 class DistFamily(str, Enum):
     NORMAL = "normal"
     LOGNORMAL = "lognormal"
@@ -446,6 +435,10 @@ def run_coverage_study(
     if workers == 1:
         results = list(map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops))
     else:
+        # Imported only here: concurrent.futures pulls in multiprocessing,
+        # socket and subprocess, which nothing else in the package needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops)

@@ -552,11 +552,14 @@ class TestRegion:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["i", "j", "h", "accepted"]
         grid = acceptance_grid(12, 9, QuantileSpec(0.5, 0.05))
-        assert len(rows) - 1 == len(grid.rows)
-        for text_row, (i, j, h, accepted) in zip(rows[1:], grid.rows):
+        hs = (grid.g_c[:, None] + grid.g_t).ravel()
+        assert len(rows) - 1 == hs.size
+        i_off, j_off = np.divmod(np.arange(hs.size), grid.g_t.size)
+        cells = zip((grid.i_lo + i_off).tolist(), (grid.j_lo + j_off).tolist(), hs.tolist())
+        for text_row, (i, j, h) in zip(rows[1:], cells):
             assert text_row[0] == str(i) and text_row[1] == str(j)
             assert text_row[2] == format(h, ".9g")
-            assert text_row[3] == ("1" if accepted else "0")
+            assert text_row[3] == ("1" if h < grid.threshold else "0")
 
     def test_files_input(self, capsys, identical_files):
         c, t = identical_files

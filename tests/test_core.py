@@ -413,7 +413,7 @@ class TestQuantileSpec:
 
 class TestConfidenceInterval:
     def test_width_and_contains(self):
-        ci = ConfidenceInterval(-1.0, 3.0, 0.05, Method.DONNER_ZOU)
+        ci = ConfidenceInterval(-1.0, 3.0, Method.DONNER_ZOU)
         assert ci.width == 4.0
         assert ci.contains(0.0) and ci.contains(-1.0) and ci.contains(3.0)
         assert not ci.contains(3.0001)

@@ -108,7 +108,6 @@ class TestLRStatistic:
         s = lr_statistic_exact(51, 51, _spec(0.5), 101, 101)
         assert s.value == 0.0
         assert (s.i_star, s.j_star) == (51, 51)
-        assert s.exact
 
     def test_known_exact_value(self):
         s = lr_statistic_exact(40, 60, _spec(0.5), 101, 101)

@@ -238,6 +238,10 @@ class TestLRRejections:
             hst.sampled_from([-1e6, 1e6]),
         ),
     )
+    # Rows 0 and 2 accept at the control's mode count 30. Row 1 accepts only
+    # at a farther count: its 30th and 31st control values tie, so the mode
+    # count's tau-interval is empty. Row 3 rejects.
+    @example(seed=1, rows=4, n_c=60, n_t=40, kind="control ties", q=0.5, alpha=0.05, d=0.0)
     def test_rows_decide_as_lr_test(self, seed, rows, n_c, n_t, kind, q, alpha, d):
         rng = np.random.default_rng(seed)
         y_c, y_t = rng.normal(size=(rows, n_c)), rng.normal(0.3, 1.0, size=(rows, n_t))
@@ -445,35 +449,46 @@ class TestConservativeCI:
         assert asym.width == pytest.approx(exact.width, rel=0.2)
 
 
+def _cells(grid):
+    """Counts i (a column), j (a row) and H of every window cell of a grid."""
+    i = np.arange(grid.i_lo, grid.i_lo + grid.g_c.size)[:, None]
+    j = np.arange(grid.j_lo, grid.j_lo + grid.g_t.size)
+    return i, j, grid.g_c[:, None] + grid.g_t
+
+
+def _accepted_cells(grid):
+    """The (i, j) of every window cell with H below the threshold."""
+    i, j = np.nonzero(grid.g_c[:, None] + grid.g_t < grid.threshold)
+    return set(zip((i + grid.i_lo).tolist(), (j + grid.j_lo).tolist()))
+
+
 class TestAcceptanceGrid:
     def test_asymptotic_ellipse_101(self):
         grid = acceptance_grid(101, 101, _spec(), use_exact=False)
         threshold = 3.8414588206941285
-        for i, j, h, accepted in grid.rows:
-            want_h = (i - 50.5) ** 2 / 25.25 + (j - 50.5) ** 2 / 25.25
-            assert h == pytest.approx(want_h, rel=1e-12)
-            assert accepted == (want_h < threshold)
-        accepted_cells = [r for r in grid.rows if r[3]]
-        assert accepted_cells  # ellipse interior is non-trivial
+        i, j, h = _cells(grid)
+        want_h = (i - 50.5) ** 2 / 25.25 + (j - 50.5) ** 2 / 25.25
+        np.testing.assert_allclose(h, want_h, rtol=1e-12, atol=1e-12)
+        accepted = h < grid.threshold
+        assert np.array_equal(accepted, want_h < threshold)
+        assert accepted.any()  # ellipse interior is non-trivial
         assert not grid.exact
 
     def test_near_one_alpha_nearly_empty(self):
         grid = acceptance_grid(101, 101, _spec(alpha=0.9999), use_exact=False)
-        accepted = [(i, j) for i, j, _, a in grid.rows if a]
-        for i, j in accepted:
+        for i, j in _accepted_cells(grid):
             assert abs(i - 50.5) < 1.0 and abs(j - 50.5) < 1.0
 
     def test_smallest_case(self):
         grid = acceptance_grid(1, 1, _spec(), use_exact=True)
-        cells = {(i, j) for i, j, _, _ in grid.rows}
-        assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        for _, _, h, _ in grid.rows:
-            assert math.isfinite(h) and h >= 0.0
+        i, j, h = _cells(grid)
+        assert i.ravel().tolist() == [0, 1] and j.tolist() == [0, 1]
+        assert np.isfinite(h).all() and (h >= 0.0).all()
 
     def test_window_covers_all_accepted(self):
         # every accepted cell of the full grid must appear in the window
         grid = acceptance_grid(30, 30, _spec(q=0.3), use_exact=True)
-        windowed = {(i, j) for i, j, _, a in grid.rows if a}
+        windowed = _accepted_cells(grid)
         lp_c = st.binom.logpmf(np.arange(31), 30, 0.3)
         thr = st.chi2.isf(0.05, 1)
         k = int(np.argmax(lp_c))
@@ -542,9 +557,9 @@ class TestAcceptanceGrid:
         write_acceptance_grid_csv(grid, buf)
         lines = buf.getvalue().decode("ascii").splitlines()
         assert lines[0] == "i,j,h,accepted"
-        assert len(lines) == 1 + len(grid.rows)
+        assert len(lines) == 1 + grid.g_c.size * grid.g_t.size
         first = lines[1].split(",")
-        assert first[0] == str(grid.rows[0][0])
+        assert first[:2] == [str(grid.i_lo), str(grid.j_lo)]
         assert first[3] in {"0", "1"}
         # reals carry at most 9 significant digits
         for line in lines[1:]:

@@ -371,12 +371,15 @@ class TestRunCoverageStudy:
             run_coverage_study(_scenario(replications=2), [Method.LR_TWO_STEP], jobs=0)
 
     @staticmethod
-    def _modules_after_cli_import(prefixes):
-        """The loaded modules, after a fresh ``import quantdiff.cli``, that start with a prefix."""
+    def _modules_after_cli_import(packages, argv=None):
+        """The loaded modules of the packages, after a fresh ``import
+        quantdiff.cli`` and, given ``argv``, a ``main(argv)`` that exits 0."""
         src = Path(simulate.__file__).resolve().parents[1]
+        dotted = tuple(f"{p}." for p in packages)
         code = (
             "import sys, quantdiff.cli; "
-            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
+            + (f"assert quantdiff.cli.main({argv!r}) == 0; " if argv else "")
+            + f"print(sorted(m for m in sys.modules if (m + '.').startswith({dotted!r})))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -396,6 +399,24 @@ class TestRunCoverageStudy:
         # numpy.random (with secrets, hashlib and every bit generator) loads
         # when a study first draws, so ci, test and region never pay for it.
         assert self._modules_after_cli_import(["numpy.random"]) == "[]\n"
+
+    def test_ci_test_and_region_leave_out_numpy_random_and_ma(self, tmp_path):
+        # A cold call pays 10-15 ms to import numpy.random and 15-25 ms for
+        # numpy.ma, which np.unique loads unless it returns the inverse.
+        rng = np.random.default_rng(7)
+        control, treatment = tmp_path / "control.csv", tmp_path / "treatment.csv"
+        np.savetxt(control, np.round(rng.lognormal(3.0, 0.5, 500), 6))
+        np.savetxt(treatment, np.round(rng.lognormal(3.02, 0.5, 500), 1))
+        samples = ["--control", str(control), "--treatment", str(treatment), "--q", "0.5"]
+        output = ["--output", str(tmp_path / "out")]
+        for argv in (
+            ["ci", *samples, *output],
+            ["test", *samples, "--d", "0.4", *output],
+            ["test", *samples, "--d", "30", *output],
+            ["region", "--n-c", "500", "--n-t", "500", "--q", "0.5", *output],
+        ):
+            modules = self._modules_after_cli_import(["numpy.random", "numpy.ma"], argv)
+            assert modules == "[]\n", argv
 
 
 def _bits(x):
@@ -471,7 +492,7 @@ class TestBlockEngine:
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for the study's process pool: records max_workers, maps in-process."""
 
     def __init__(self, max_workers, record):
         record.append(max_workers)
@@ -491,7 +512,8 @@ def inline_pool(monkeypatch):
     """The max_workers of every pool the study opens; workers run inline."""
     record = []
     monkeypatch.setattr(
-        simulate, "ProcessPoolExecutor", lambda max_workers: _InlineExecutor(max_workers, record)
+        "concurrent.futures.ProcessPoolExecutor",
+        lambda max_workers: _InlineExecutor(max_workers, record),
     )
     return record
 
