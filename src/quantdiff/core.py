@@ -52,6 +52,11 @@ def _check_probability(value: float, name: str) -> None:
         raise DomainError(f"{name} must lie in the open interval (0, 1), got {value!r}")
 
 
+def _check_sizes(*sizes: int) -> None:
+    if min(sizes) < 1:
+        raise DomainError(f"sample sizes must be >= 1, got {', '.join(map(str, sizes))}")
+
+
 @dataclass(frozen=True)
 class QuantileSpec:
     """Target quantile ``q`` and two-sided significance level ``alpha``."""
@@ -257,8 +262,7 @@ def max_likelihood_index(q: float, n: int) -> int:
     or ``n`` signals that the maximizer abuts the sample boundary.
     """
     _check_probability(q, "q")
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    _check_sizes(n)
     k = math.floor(q * (n + 1))
     return min(max(k, 0), n)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantileSpec, max_likelihood_index
+from .core import QuantileSpec, _check_probability, _check_sizes, max_likelihood_index
 from .errors import ConsistencyError, DomainError, IndexOutOfRangeError
 
 # Largest negative LR value attributed to rounding noise; anything more
@@ -54,10 +54,8 @@ def log_binomial_pmf(i: int, q: float, n: int) -> float:
     float
         ln P(X = i) for X ~ Binomial(n, q), always finite for q in (0, 1).
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_probability(q, "q")
+    _check_sizes(n)
     if i < 0 or i > n:
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n}]")
     return float(_log_pmf(np.array([i]), q, n)[0])
@@ -169,8 +167,7 @@ def deficits(counts, q: float, n: int):
 
 def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int):
     """LRStatistic of deficit(i | q, n_c) + deficit(j | q, n_t) after the size and count checks."""
-    if n_c < 1 or n_t < 1:
-        raise DomainError("sample sizes must be >= 1")
+    _check_sizes(n_c, n_t)
     if i < 0 or i > n_c:
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n_c}]")
     if j < 0 or j > n_t:
@@ -220,8 +217,7 @@ def normal_quantile(p: float) -> float:
     distribution", Applied Statistics 37, 1988), within about 1e-15
     relative for every double p in (0, 1). Other p raise :class:`DomainError`.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0, 1), got {p!r}")
+    _check_probability(p, "p")
     return _STANDARD_NORMAL_PPF(p)
 
 
@@ -236,8 +232,7 @@ def chi2_quantile_1df(alpha: float) -> float:
     P(chi2(1) > c) = alpha at the returned c; computed as the square of
     :func:`two_sided_z`, the standard normal upper alpha/2 quantile.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_probability(alpha, "alpha")
     z = two_sided_z(alpha)
     return z * z
 

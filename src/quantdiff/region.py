@@ -1,8 +1,8 @@
 """Constrained maximization, the LR hypothesis test, and the region CI.
 
 The hypothesis tau_{q,t} = tau_{q,c} + d couples the two samples through a
-single scalar tau. Both count functions i(tau) = #{y_c < tau} and
-j(tau) = #{y_t < tau + d} are step functions, so the constrained likelihood
+single scalar tau. Both count functions i(tau) = #{y_c <= tau} and
+j(tau) = #{y_t <= tau + d} are step functions, so the constrained likelihood
 maximum is a maximum over finitely many count pairs: the counts at or
 below each breakpoint, restricted to the closed span between the two
 unconstrained optima. Counting at the breakpoints themselves, rather than
@@ -36,10 +36,11 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    _check_sizes,
     max_likelihood_index,
     quiet_overflow,
 )
-from .errors import DegenerateRegionError, NumericOverflowError, ValidationError
+from .errors import DegenerateRegionError, DomainError, NumericOverflowError, ValidationError
 from .likelihood import asymptotic_deficit, chi2_quantile_1df, chi2_sf_1df, deficits
 
 
@@ -177,36 +178,28 @@ def lr_test(
     at or below tau + d; likelihood ties go to the smallest (i, j), the
     first maximum in ascending tau. Under the null H is asymptotically
     chi-square with one degree of freedom, so the p-value is that
-    distribution's tail beyond the statistic. Where the optima overlap,
-    H = 0; otherwise the candidates run in ascending tau, so the first
-    smallest deficit sum g_c(i) + g_t(j) has the smallest (i, j).
+    distribution's tail beyond the statistic. The candidates, in ascending
+    tau, are the counts just below the closed span between the two optima,
+    then those at each breakpoint inside it; so the first smallest deficit
+    sum g_c(i) + g_t(j) has the smallest (i, j), and H = 0 where they overlap.
     """
     y_c, t = control.values, _shifted(treatment.values, d)
     q = spec.q
     k_c, k_t = max_likelihood_index(q, y_c.size), max_likelihood_index(q, t.size)
     lo_c, hi_c = _order_stats(y_c, np.array([k_c, k_c + 1]))
     lo_t, hi_t = _order_stats(t, np.array([k_t, k_t + 1]))
-    if max(lo_c, lo_t) < min(hi_c, hi_t):
-        i_star, j_star, statistic = k_c, k_t, 0.0
-    else:
-        span_lo, span_hi = min(lo_c, lo_t), max(hi_c, hi_t)
-        starts = [np.searchsorted(y, span_lo) for y in (y_c, t)]
-        stops = [np.searchsorted(y, span_hi, "right") for y in (y_c, t)]
-        points = np.sort(np.concatenate([y_c[starts[0] : stops[0]], t[starts[1] : stops[1]]]))
-        # Distinct by hand: np.unique would import numpy.ma, 15-25 ms per process.
-        points = points[np.append(True, points[1:] != points[:-1])]
-        i = np.append(starts[0], np.searchsorted(y_c, points, "right"))
-        j = np.append(starts[1], np.searchsorted(t, points, "right"))
-        score = deficits(i, q, y_c.size) + deficits(j, q, t.size)
-        best = int(np.argmin(score))
-        i_star, j_star, statistic = int(i[best]), int(j[best]), float(score[best])
-    return LRTestResult(
-        d=d,
-        statistic=statistic,
-        p_value=chi2_sf_1df(statistic),
-        i_star=i_star,
-        j_star=j_star,
-    )
+    span_lo, span_hi = min(lo_c, lo_t), max(hi_c, hi_t)
+    starts = [np.searchsorted(y, span_lo) for y in (y_c, t)]
+    stops = [np.searchsorted(y, span_hi, "right") for y in (y_c, t)]
+    points = np.sort(np.concatenate([y_c[starts[0] : stops[0]], t[starts[1] : stops[1]]]))
+    # Distinct by hand: np.unique would import numpy.ma, 15-25 ms per process.
+    points = points[np.append(True, points[1:] != points[:-1])]
+    i = np.append(starts[0], np.searchsorted(y_c, points, "right"))
+    j = np.append(starts[1], np.searchsorted(t, points, "right"))
+    score = deficits(i, q, y_c.size) + deficits(j, q, t.size)
+    best = int(np.argmin(score))
+    statistic = float(score[best])
+    return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))
 
 
 def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[int, np.ndarray]:
@@ -224,7 +217,7 @@ def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[i
     hi = min(math.floor(center + halfwidth), n)
     g = deficits if exact else asymptotic_deficit
     while True:
-        window = g(np.arange(lo, hi + 1), q, n)
+        window = g(np.arange(lo, hi + 1, dtype=np.intp), q, n)
         if lo > 0 and window[0] < threshold:
             lo -= 1
         elif hi < n and window[-1] < threshold:
@@ -323,9 +316,13 @@ def acceptance_grid(
     statistic, approximately under the exact one). Equal arguments return
     the same shared, read-only grid.
     """
-    if n_c < 1 or n_t < 1:
-        raise ValidationError("sample sizes must be >= 1")
-    return _region(n_c, n_t, spec, use_exact)
+    _check_sizes(n_c, n_t)
+    try:
+        return _region(n_c, n_t, spec, use_exact)
+    except (OverflowError, MemoryError):
+        raise DomainError(
+            f"the acceptance windows of n_c = {n_c} and n_t = {n_t} do not fit in memory"
+        ) from None
 
 
 # Bytes per h field: the longest %.9g text of a double, "-1.23456789e-100".

@@ -37,6 +37,8 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    _check_probability,
+    _check_sizes,
 )
 from .errors import (
     DomainError,
@@ -142,8 +144,7 @@ def parse_distribution(text: str) -> Distribution:
 
 def true_quantile(dist: Distribution, q: float) -> float:
     """Closed-form q-quantile of a scenario distribution."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q!r}")
+    _check_probability(q, "q")
     if dist.family is DistFamily.NORMAL:
         mu, sigma = dist.params
         return mu + sigma * normal_quantile(q)
@@ -180,8 +181,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         QuantileSpec(self.q, self.alpha)  # domain checks
-        if self.n_c < 1 or self.n_t < 1:
-            raise DomainError("sample sizes must be >= 1")
+        _check_sizes(self.n_c, self.n_t)
         if not (1 <= self.replications <= 2**64):
             # A replication's index keys its substream as an unsigned 64-bit integer.
             raise DomainError("replications must lie in [1, 2**64]")

@@ -29,11 +29,12 @@ from .core import (
     Method,
     OrderedSample,
     QuantileSpec,
+    _check_sizes,
     outward_index_bounds,
     power_of_two_lift,
     quiet_overflow,
 )
-from .errors import DomainError, InsufficientSampleError
+from .errors import InsufficientSampleError
 from .likelihood import two_sided_z
 
 
@@ -85,8 +86,7 @@ def step1_indexes(spec: QuantileSpec, n_c: int, n_t: int) -> IndexQuad:
     s = sqrt(n_c n_t q (1-q) / (n_c + n_t)); fractional endpoints round
     outward (floor below, ceil above) and clamp into [1, N].
     """
-    if n_c < 1 or n_t < 1:
-        raise DomainError("sample sizes must be >= 1")
+    _check_sizes(n_c, n_t)
     one = np.ones(1)
     i_minus, i_plus, j_minus, j_plus, clamped, collapsed = (
         v[0] for v in _quads(spec, n_c, n_t, one, one)

@@ -473,6 +473,18 @@ class TestTest:
         assert r["reject_at_alpha"] is False
         assert r["d"] == 0.0
 
+    def test_tie_goes_to_the_smallest_pair(self, capsys, tmp_path):
+        # One value has two modes at q = 0.5, counts 0 and 1, of equal
+        # likelihood; the test reports the smaller pair.
+        for name in ("c.csv", "t.csv"):
+            (tmp_path / name).write_text("1.5\n")
+        argv = ["test", "--control", str(tmp_path / "c.csv"), "--treatment",
+                str(tmp_path / "t.csv"), "--q", "0.5", "--d", "0"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert '"i_star": 0, "j_star": 0' in out
+        assert json.loads(out)["statistic"] == 0.0
+
     def test_far_d_rejects(self, capsys, identical_files):
         c, t = identical_files
         code, out, _ = _run(
@@ -573,6 +585,16 @@ class TestRegion:
     def test_requires_sizes_or_files(self, capsys):
         code, _, err = _run(capsys, ["region", "--q", "0.5"])
         assert code == 2
+
+    def test_size_past_64_bits_exits_2_naming_the_sizes(self, capsys):
+        # The window's counts do not fit an intp, so it fails before any allocation.
+        argv = ["region", "--n-c", str(10**20), "--n-t", "10", "--q", "0.5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the acceptance windows of n_c = 100000000000000000000 "
+            "and n_t = 10 do not fit in memory\n"
+        )
 
     def test_asymptotic_flag(self, capsys):
         code_e, out_e, _ = _run(

@@ -23,6 +23,7 @@ from quantdiff import (
 )
 from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
+from quantdiff.likelihood import deficits
 
 from oracles import (
     best_reachable_score,
@@ -31,6 +32,8 @@ from oracles import (
     reachable_pairs,
 )
 
+# n = 101 at q = 0.5 has two modes, counts 50 and 51, of equal likelihood;
+# the LR test reports the smaller.
 GRID_101 = ingest_sample(np.arange(1.0, 102.0))
 
 
@@ -44,13 +47,35 @@ def constrained_max_indexes(control, treatment, q, d):
     return result.i_star, result.j_star
 
 
+@hst.composite
+def _two_mode_cases(draw):
+    """(y_c, y_t, q, d): sizes with two modes, q(n + 1) an integer, and values
+    on a 0.1 grid, so pairs of equal score are common."""
+    q = draw(hst.sampled_from([0.25, 0.5, 0.75]))
+    step = 2 if q == 0.5 else 4
+    values = hst.integers(-30, 30).map(lambda v: v / 10)
+    arms = []
+    for _ in range(2):
+        n = step * draw(hst.integers(0, 12)) + step - 1
+        arms.append(sorted(draw(hst.lists(values, min_size=n, max_size=n))))
+    d = draw(
+        hst.one_of(
+            hst.just(0.0),
+            hst.floats(-0.5, 0.5),
+            hst.floats(-4.0, 4.0),
+            hst.integers(-40, 40).map(lambda v: v / 10),
+        )
+    )
+    return *arms, q, d
+
+
 class TestConstrainedMaxIndexes:
     def test_identical_samples_d0(self):
-        assert constrained_max_indexes(GRID_101, GRID_101, 0.5, 0.0) == (51, 51)
+        assert constrained_max_indexes(GRID_101, GRID_101, 0.5, 0.0) == (50, 50)
 
     def test_true_shift(self):
         shifted = ingest_sample(GRID_101.values + 10.0)
-        assert constrained_max_indexes(GRID_101, shifted, 0.5, 10.0) == (51, 51)
+        assert constrained_max_indexes(GRID_101, shifted, 0.5, 10.0) == (50, 50)
         result = lr_test(GRID_101, shifted, _spec(), 10.0)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
@@ -119,6 +144,22 @@ class TestConstrainedMaxIndexes:
             score = best_reachable_score(y_c, y_t, q, d)
             got = st.binom.logpmf(i, n_c, q) + st.binom.logpmf(j, n_t, q)
             assert got >= score - 1e-10, (trial, i, j, got, score)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_two_mode_cases())
+    @example(case=([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0], 0.5, 0.0))
+    @example(case=([1.5], [1.5], 0.5, 0.0))
+    def test_first_minimum_of_the_full_scan(self, case):
+        # Every reachable pair scored in ascending tau; the test's (i*, j*, H)
+        # is the first smallest score, bit for bit, so a faster search of the
+        # pairs must keep both the value and the smallest-(i, j) tie rule.
+        y_c, y_t, q, d = case
+        pairs = reachable_pairs(np.array(y_c), np.array(y_t), d)
+        i, j = np.array(pairs).T
+        score = deficits(i, q, len(y_c)) + deficits(j, q, len(y_t))
+        best = int(np.argmin(score))
+        r = lr_test(ingest_sample(y_c), ingest_sample(y_t), _spec(q=q), d)
+        assert (r.i_star, r.j_star, r.statistic.hex()) == (*pairs[best], score[best].hex())
 
     def test_block_rows_match_one_pair_calls(self):
         # The coverage engine decides the LR test for many replications at
@@ -285,7 +326,7 @@ class TestLRTest:
         assert r.statistic == 0.0
         assert r.p_value == 1.0
         assert not r.rejects_at(0.05)
-        assert (r.i_star, r.j_star) == (51, 51)
+        assert (r.i_star, r.j_star) == (50, 50)
 
     def test_statistic_grows_with_distance_from_estimate(self):
         stats = [
