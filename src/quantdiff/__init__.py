@@ -19,7 +19,6 @@ from .core import (
     QuantileSpec,
     ingest_sample,
     max_likelihood_index,
-    quantile_point_estimate,
     read_sample_csv,
 )
 from .likelihood import (
@@ -64,7 +63,6 @@ __all__ = [
     "ingest_sample",
     "read_sample_csv",
     "max_likelihood_index",
-    "quantile_point_estimate",
     "LRStatistic",
     "log_binomial_pmf",
     "lr_statistic_exact",

@@ -52,6 +52,13 @@ def _check_probability(value: float, name: str) -> None:
         raise DomainError(f"{name} must lie in the open interval (0, 1), got {value!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    _check_probability(alpha, "alpha")
+    # The critical value is the normal quantile at alpha/2, which must stay above 0.
+    if alpha / 2.0 == 0.0:
+        raise DomainError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0")
+
+
 def _check_sizes(*sizes: int) -> None:
     if min(sizes) < 1:
         raise DomainError(f"sample sizes must be >= 1, got {', '.join(map(str, sizes))}")
@@ -66,11 +73,7 @@ class QuantileSpec:
 
     def __post_init__(self) -> None:
         _check_probability(self.q, "q")
-        _check_probability(self.alpha, "alpha")
-        # The critical value is the normal quantile at alpha/2, which
-        # must stay above 0.
-        if self.alpha / 2.0 == 0.0:
-            raise DomainError(f"alpha={self.alpha!r} is too small: alpha/2 rounds to 0")
+        _check_alpha(self.alpha)
         # The binomial log-pmf divides a count by n q, which stays finite
         # only for a normal (not subnormal) q.
         if self.q < sys.float_info.min:
@@ -267,19 +270,14 @@ def max_likelihood_index(q: float, n: int) -> int:
     return min(max(k, 0), n)
 
 
-def quantile_point_estimate(sample: OrderedSample, q: float) -> float:
-    """Point estimate of the q-quantile.
+def point_estimates(rows: np.ndarray, q: float) -> np.ndarray:
+    """Point estimate of the q-quantile of each row of a sorted (R, n) block.
 
     The quantile likelihood is flat on the open interval between two
     adjacent order statistics, so no unique maximizer exists; this returns
     the midpoint of the maximizing interval, falling back to the nearest
     sample point when the interval abuts a boundary.
     """
-    return float(point_estimates(sample.values[None], q)[0])
-
-
-def point_estimates(rows: np.ndarray, q: float) -> np.ndarray:
-    """:func:`quantile_point_estimate` of each row of a sorted (R, n) block."""
     n = rows.shape[1]
     k = max_likelihood_index(q, n)
     if k == 0:
@@ -313,14 +311,13 @@ def power_of_two_lift(a: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """A two-sided confidence interval with its method tag and diagnostics.
+    """A two-sided confidence interval with its diagnostic flags.
 
     Its level is the ``alpha`` of the :class:`QuantileSpec` it was computed at.
     """
 
     lower: float
     upper: float
-    method: Method
     flags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
@@ -344,7 +341,6 @@ class IntervalRows:
     intervals, the rows carry no level: it is the spec's ``alpha``.
     """
 
-    method: Method
     lower: np.ndarray
     upper: np.ndarray
     flags: dict[str, np.ndarray]
@@ -360,12 +356,8 @@ class IntervalRows:
             raise NumericOverflowError(
                 f"interval [{lower}, {upper}] overflows double precision; rescale the samples"
             )
-        return ConfidenceInterval(
-            lower=lower,
-            upper=upper,
-            method=self.method,
-            flags=frozenset(name for name, mask in self.flags.items() if mask[0]),
-        )
+        flags = frozenset(name for name, mask in self.flags.items() if mask[0])
+        return ConfidenceInterval(lower, upper, flags)
 
 
 def quiet_overflow(row_fn):

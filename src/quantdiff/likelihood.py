@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantileSpec, _check_probability, _check_sizes, max_likelihood_index
+from .core import QuantileSpec, _check_alpha, _check_probability, _check_sizes, max_likelihood_index
 from .errors import ConsistencyError, DomainError, IndexOutOfRangeError
 
 # Largest negative LR value attributed to rounding noise; anything more
@@ -144,8 +144,6 @@ class LRStatistic:
     """Value of the likelihood-ratio statistic H at a grid point (i, j)."""
 
     value: float
-    i_star: int
-    j_star: int
 
 
 def deficits(counts, q: float, n: int):
@@ -172,8 +170,7 @@ def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: in
         raise IndexOutOfRangeError(f"count i={i} outside [0, {n_c}]")
     if j < 0 or j > n_t:
         raise IndexOutOfRangeError(f"count j={j} outside [0, {n_t}]")
-    value = float(deficit(i, spec.q, n_c) + deficit(j, spec.q, n_t))
-    return LRStatistic(value=value, i_star=i, j_star=j)
+    return LRStatistic(float(deficit(i, spec.q, n_c) + deficit(j, spec.q, n_t)))
 
 
 def lr_statistic_exact(i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int) -> LRStatistic:
@@ -232,7 +229,7 @@ def chi2_quantile_1df(alpha: float) -> float:
     P(chi2(1) > c) = alpha at the returned c; computed as the square of
     :func:`two_sided_z`, the standard normal upper alpha/2 quantile.
     """
-    _check_probability(alpha, "alpha")
+    _check_alpha(alpha)
     z = two_sided_z(alpha)
     return z * z
 

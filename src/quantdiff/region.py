@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     ConfidenceInterval,
     IntervalRows,
-    Method,
     OrderedSample,
     QuantileSpec,
     _check_sizes,
@@ -145,7 +144,7 @@ def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float
     """
     t = _shifted(y_t, d)
     n_c, n_t = y_c.shape[1], t.shape[1]
-    region = _build_region(n_c, n_t, spec.q, spec.alpha, True)
+    region = acceptance_grid(n_c, n_t, spec, True)
     k_t = max_likelihood_index(spec.q, n_t)
     rows = np.arange(len(y_c))
     down = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t + 1])), "left")
@@ -247,12 +246,27 @@ def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> Ac
     return AcceptanceGrid(exact, threshold, i_lo, j_lo, *arrays)
 
 
-def _region(n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None) -> AcceptanceGrid:
-    """The cached region; ``use_exact=None`` picks the exact statistic when
-    both samples have at most 10,000 values and the asymptotic form above."""
+def acceptance_grid(
+    n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None = None
+) -> AcceptanceGrid:
+    """The acceptance region over the marginal windows, as its arrays.
+
+    H of a cell is ``g_c[:, None] + g_t``, accepted below ``threshold``;
+    the accepted set is the integer ellipse (exactly under the asymptotic
+    statistic, approximately under the exact one). ``use_exact=None``
+    picks the exact statistic when both samples have at most 10,000
+    values and the asymptotic form above that. Equal arguments return the
+    same shared, read-only grid.
+    """
+    _check_sizes(n_c, n_t)
     if use_exact is None:
         use_exact = max(n_c, n_t) <= 10_000
-    return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
+    try:
+        return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
+    except (OverflowError, MemoryError):
+        raise DomainError(
+            f"the acceptance windows of n_c = {n_c} and n_t = {n_t} do not fit in memory"
+        ) from None
 
 
 @quiet_overflow
@@ -261,7 +275,7 @@ def conservative_rows(
 ) -> IntervalRows:
     """:func:`conservative_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     n_c, n_t = y_c.shape[1], y_t.shape[1]
-    region = _region(n_c, n_t, spec, use_exact)
+    region = acceptance_grid(n_c, n_t, spec, use_exact)
     i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
     clamped = bool(((i == 0) | (j_first == 0) | (i == n_c) | (j_last == n_t)).any())
     j_first = np.maximum(j_first, 1)
@@ -277,7 +291,6 @@ def conservative_rows(
     # argmin/argmax return the first of equal extremes (+0.0 and -0.0, say),
     # so the sign of a zero endpoint does not depend on numpy's reduction order.
     return IntervalRows(
-        method=Method.LR_CONSERVATIVE,
         lower=lows[rows, lows.argmin(axis=1)],
         upper=highs[rows, highs.argmax(axis=1)],
         flags={"clamped_index": np.full(len(y_c), clamped)},
@@ -298,31 +311,10 @@ def conservative_ci(
     from the extremes and reported through the clamped_index flag. The
     flag is also set where an accepted pair has i = n_c or j = n_t. An
     edge pair is reachable, so the LR test accepts, for every d far
-    enough to one side; the endpoints are not moved.
-
-    ``use_exact=None`` picks the exact statistic when both samples have
-    at most 10,000 values and the asymptotic form above that.
+    enough to one side; the endpoints are not moved. ``use_exact`` picks
+    the statistic as in :func:`acceptance_grid`.
     """
     return conservative_rows(control.values[None], treatment.values[None], spec, use_exact).first()
-
-
-def acceptance_grid(
-    n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None = None
-) -> AcceptanceGrid:
-    """The acceptance region over the marginal windows, as its arrays.
-
-    H of a cell is ``g_c[:, None] + g_t``, accepted below ``threshold``;
-    the accepted set is the integer ellipse (exactly under the asymptotic
-    statistic, approximately under the exact one). Equal arguments return
-    the same shared, read-only grid.
-    """
-    _check_sizes(n_c, n_t)
-    try:
-        return _region(n_c, n_t, spec, use_exact)
-    except (OverflowError, MemoryError):
-        raise DomainError(
-            f"the acceptance windows of n_c = {n_c} and n_t = {n_t} do not fit in memory"
-        ) from None
 
 
 # Bytes per h field: the longest %.9g text of a double, "-1.23456789e-100".

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -422,12 +423,15 @@ def run_coverage_study(
 
     ``methods`` takes anything :func:`select_methods` accepts. ``jobs`` > 1
     evaluates blocks in up to that many worker processes, never more than
-    there are blocks; the output is identical to the sequential run.
+    there are CPUs or blocks; the output is identical to the sequential
+    run. A worker that dies (killed for lack of memory, say) ends the
+    study with a :class:`ValidationError`.
     """
     method_tuple = select_methods(methods)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
 
+    jobs = min(jobs, os.cpu_count() or 1)
     chunk = _chunk_size(spec, jobs)
     starts = range(0, spec.replications, chunk)
     stops = [min(start + chunk, spec.replications) for start in starts]
@@ -438,11 +442,17 @@ def run_coverage_study(
         # Imported only here: concurrent.futures pulls in multiprocessing,
         # socket and subprocess, which nothing else in the package needs.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops)
-            )
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(_evaluate_block, repeat(spec), repeat(method_tuple), starts, stops)
+                )
+        except BrokenProcessPool:
+            raise ValidationError(
+                "a worker process ended abruptly, perhaps out of memory; rerun with --jobs 1"
+            ) from None
 
     reject_rate = sum(int(rejected.sum()) for _, rejected in results) / spec.replications
     d = spec.true_delta

@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     ConfidenceInterval,
     IntervalRows,
-    Method,
     OrderedSample,
     QuantileSpec,
     _check_sizes,
@@ -131,7 +130,6 @@ def two_step_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> Inter
         fallback = fallback | collapsed
     rows = np.arange(len(y_c))
     return IntervalRows(
-        method=Method.LR_TWO_STEP,
         lower=y_t[rows, j_minus - 1] - y_c[rows, i_plus - 1],
         upper=y_t[rows, j_plus - 1] - y_c[rows, i_minus - 1],
         flags={"slope_fallback": fallback, "clamped_index": clamped | quad1.clamped},

@@ -586,6 +586,11 @@ class TestRegion:
         code, _, err = _run(capsys, ["region", "--q", "0.5"])
         assert code == 2
 
+    def test_control_without_treatment_exits_2(self, capsys, identical_files):
+        code, out, err = _run(capsys, ["region", "--control", identical_files[0], "--q", "0.5"])
+        assert code == 2 and out == ""
+        assert err == "error: provide both --control and --treatment, or sizes\n"
+
     def test_size_past_64_bits_exits_2_naming_the_sizes(self, capsys):
         # The window's counts do not fit an intp, so it fails before any allocation.
         argv = ["region", "--n-c", str(10**20), "--n-t", "10", "--q", "0.5"]

@@ -16,17 +16,15 @@ from oracles import per_line_sample_csv
 
 from quantdiff import (
     ConfidenceInterval,
-    Method,
     OrderedSample,
     QuantileSpec,
     ingest_sample,
     max_likelihood_index,
-    quantile_point_estimate,
     read_sample_csv,
 )
 import quantdiff
 from quantdiff import core
-from quantdiff.core import outward_index_bounds
+from quantdiff.core import outward_index_bounds, point_estimates
 from quantdiff.errors import (
     DomainError,
     EmptySampleError,
@@ -61,6 +59,10 @@ class TestIngestSample:
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleError):
             ingest_sample([])
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(ValidationError, match="sample values must be numeric"):
+            ingest_sample(["a"])
 
     def test_duplicates_preserved(self):
         s = ingest_sample([2.0, 2.0, 1.0])
@@ -102,6 +104,17 @@ class TestOrderedSample:
         assert OrderedSample(np.array([-1e308, 1e308])).n == 2
         with pytest.raises(ValidationError):
             OrderedSample(np.array([1e308, -1e308]))
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([1.0, math.inf], NonFiniteValueError, "non-finite value at sorted position 1"),
+            ([[1.0, 2.0]], ValidationError, "sample values must be one-dimensional"),
+        ],
+    )
+    def test_rejects_invalid_values(self, values, error, message):
+        with pytest.raises(error, match=message):
+            OrderedSample(np.array(values))
 
     def test_values_read_only(self):
         s = ingest_sample([1.0, 2.0])
@@ -345,18 +358,23 @@ class TestMaxLikelihoodIndex:
         assert ks == sorted(ks)
 
 
+def _estimate(sample, q):
+    """The point estimate of one sample: ``point_estimates`` of a one-row block."""
+    return float(point_estimates(sample.values[None], q)[0])
+
+
 class TestQuantilePointEstimate:
     def test_interior_midpoint(self):
         s = ingest_sample([1.0, 2.0, 3.0])
-        assert quantile_point_estimate(s, 0.5) == 2.5  # k=2, midpoint of (2, 3)
+        assert _estimate(s, 0.5) == 2.5  # k=2, midpoint of (2, 3)
 
     def test_singleton_boundary(self):
         s = ingest_sample([10.0])
-        assert quantile_point_estimate(s, 0.5) == 10.0
+        assert _estimate(s, 0.5) == 10.0
 
     def test_tied_values_collapse(self):
         s = ingest_sample([0.0, 0.0, 0.0, 100.0])
-        assert quantile_point_estimate(s, 0.5) == 0.0
+        assert _estimate(s, 0.5) == 0.0
 
     def test_midpoint_lies_in_maximizing_tau_set(self):
         # With distinct values the likelihood-maximizing tau set for count i
@@ -376,7 +394,7 @@ class TestQuantilePointEstimate:
             ]
             peak = max(pmf)
             best = [i for i in range(n + 1) if pmf[i] == peak]
-            est = quantile_point_estimate(s, q)
+            est = _estimate(s, q)
             assert any(
                 1 <= i <= n - 1 and values[i - 1] < est < values[i] for i in best
             ), (q, best, est)
@@ -388,8 +406,8 @@ class TestQuantilePointEstimate:
         hst.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     )
     def test_translation_equivariance(self, xs, q, c):
-        base = quantile_point_estimate(ingest_sample(xs), q)
-        shifted = quantile_point_estimate(ingest_sample([x + c for x in xs]), q)
+        base = _estimate(ingest_sample(xs), q)
+        shifted = _estimate(ingest_sample([x + c for x in xs]), q)
         assert shifted == pytest.approx(base + c, abs=1e-6 * max(1.0, abs(c)))
 
     @settings(max_examples=50)
@@ -399,8 +417,8 @@ class TestQuantilePointEstimate:
         hst.floats(min_value=1e-3, max_value=1e3),
     )
     def test_scale_equivariance(self, xs, q, scale):
-        base = quantile_point_estimate(ingest_sample(xs), q)
-        scaled = quantile_point_estimate(ingest_sample([x * scale for x in xs]), q)
+        base = _estimate(ingest_sample(xs), q)
+        scaled = _estimate(ingest_sample([x * scale for x in xs]), q)
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
 
 
@@ -413,7 +431,7 @@ class TestQuantileSpec:
 
 class TestConfidenceInterval:
     def test_width_and_contains(self):
-        ci = ConfidenceInterval(-1.0, 3.0, Method.DONNER_ZOU)
+        ci = ConfidenceInterval(-1.0, 3.0)
         assert ci.width == 4.0
         assert ci.contains(0.0) and ci.contains(-1.0) and ci.contains(3.0)
         assert not ci.contains(3.0001)
@@ -435,6 +453,7 @@ class TestNamespace:
             "one_sample_ci",
             "OneSampleBounds",
             "outward_index_interval",
+            "quantile_point_estimate",
         ],
     )
     def test_removed_names_are_gone(self, name):

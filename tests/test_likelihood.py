@@ -107,7 +107,6 @@ class TestLRStatistic:
     def test_zero_at_maximizers(self):
         s = lr_statistic_exact(51, 51, _spec(0.5), 101, 101)
         assert s.value == 0.0
-        assert (s.i_star, s.j_star) == (51, 51)
 
     def test_known_exact_value(self):
         s = lr_statistic_exact(40, 60, _spec(0.5), 101, 101)
@@ -243,5 +242,7 @@ class TestChiSquare1df:
             chi2_quantile_1df(0.0)
         with pytest.raises(DomainError):
             chi2_quantile_1df(1.5)
+        with pytest.raises(DomainError, match="alpha=5e-324 is too small: alpha/2 rounds to 0"):
+            chi2_quantile_1df(5e-324)
         with pytest.raises(DomainError):
             chi2_sf_1df(-0.5)

@@ -110,7 +110,8 @@ class TestParseDistribution:
         assert d.params == params
 
     @pytest.mark.parametrize(
-        "text", ["gamma(1,1)", "normal(0)", "normal(0,1,2)", "normal(a,b)", "normal", ""]
+        "text",
+        ["gamma(1,1)", "normal(0)", "normal(0,1,2)", "normal(a,b)", "normal", "", "normal(inf,1)"],
     )
     def test_bad(self, text):
         with pytest.raises((ValidationError, DomainError)):
@@ -534,17 +535,47 @@ class TestChunking:
         want = _csv(spec, 1)
         # Blocks of at most 5 rows: 23 replications split 5, 5, 5, 5, 3.
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (40 + 60) * 5)
-        # Three workers run inline, so that no test starts more than two processes.
+        # Three workers run inline, so that no test starts more than two
+        # processes, on a machine of three CPUs.
         pools = request.getfixturevalue("inline_pool") if jobs == 3 else None
+        if pools is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _csv(spec, jobs) == want
         if pools is not None:
             assert pools == pool_of_three
 
-    def test_workers_capped_by_chunks(self, inline_pool):
+    def test_workers_capped_by_chunks(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 500)
         run_coverage_study(_scenario(replications=10), [Method.LR_TWO_STEP], jobs=500)
         assert inline_pool == [10]
         run_coverage_study(_scenario(replications=1), [Method.LR_TWO_STEP], jobs=3)
         assert inline_pool == [10]  # one block: no pool at all
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+    def test_workers_capped_by_cpus(self, inline_pool, monkeypatch, cpus, pools):
+        # --jobs 5000 on 10 replications: blocks of ceil(10 / cpus), one per CPU.
+        spec = _scenario(n_c=20, n_t=30, replications=10)
+        want = _csv(spec, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _csv(spec, 5000) == want
+        assert inline_pool == pools
+
+    def test_broken_pool_exits_2(self, inline_pool, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def worker_died(self, fn, *iterables):
+            raise BrokenProcessPool("A child process terminated abruptly")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(_InlineExecutor, "map", worker_died)
+        argv = ["simulate", "--n-c", "20", "--n-t", "20", "--q", "0.5", "--replications", "4"]
+        assert cli_main([*argv, "--jobs", "2"]) == 2
+        assert inline_pool == [2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a worker process ended abruptly, perhaps out of memory; rerun with --jobs 1\n"
+        )
 
     def test_block_stays_a_few_megabytes(self):
         for n_c, n_t in [(500, 500), (10_000, 300), (1, 1)]:
