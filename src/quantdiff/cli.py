@@ -134,6 +134,8 @@ def _open_output(path: str, binary: bool = False) -> Iterator[IO]:
 
 
 def _load_samples(args: argparse.Namespace) -> tuple[OrderedSample, OrderedSample]:
+    if args.control == "-" and args.treatment == "-":
+        raise ValidationError("--control and --treatment cannot both be '-': stdin is read once")
     control = read_sample_csv(args.control, skip_header=args.header)
     treatment = read_sample_csv(args.treatment, skip_header=args.header)
     return control, treatment
@@ -192,6 +194,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    if (args.control or args.treatment) and (args.n_c, args.n_t) != (None, None):
+        raise ValidationError("--n-c/--n-t cannot be given with --control/--treatment")
     if args.control or args.treatment:
         if not (args.control and args.treatment):
             raise ValidationError("provide both --control and --treatment, or sizes")

@@ -62,7 +62,7 @@ def log_binomial_pmf(i: int, q: float, n: int) -> float:
 
 
 # stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k / e)**k) for k = 0..15; the
-# entry at 0 is a placeholder, as k = 0 never reaches the general form.
+# entry at 0 is a placeholder, as the general form never sees a count of 0.
 _STIRLERR = np.array(
     [
         0.0,
@@ -114,29 +114,24 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _log_pmf(counts: np.ndarray, q: float, n: int) -> np.ndarray:
-    """log p(k) of Binomial(n, q) for each count of an integer array, in Loader's form.
+    """log p(k) of Binomial(n, q) for each count of a 1-D integer array, in Loader's form.
 
     Inside (0, n) it is stirlerr(n) - (stirlerr(k) + stirlerr(n-k))
     - (bd0(k, nq) + bd0(n-k, n(1-q))) + log(n / (2 pi k (n-k))) / 2; the
     paired terms are sums, so q = 0.5 gives the same value at k and n-k
-    to the bit. k = 0 and k = n take the closed forms.
+    to the bit. That form runs on every count, with 1 standing in for both
+    k and n-k at an edge count, and k = 0 and k = n then take the closed forms.
     """
     k = np.asarray(counts, dtype=float)
-    out = np.where(k == 0, n * math.log1p(-q), n * math.log(q))
-    inner = np.flatnonzero((k > 0) & (k < n))
-    if inner.size:
-        k = k[inner]
-        m = k.size
-        r = n - k
-        st = _stirlerr(np.concatenate((k, r, [n])))
-        dev = _bd0(np.concatenate((k, r)), np.repeat((n * q, n * (1.0 - q)), m))
-        out[inner] = (
-            st[-1]
-            - (st[:m] + st[m:-1])
-            - (dev[:m] + dev[m:])
-            + 0.5 * np.log(n / (2.0 * math.pi * (k * r)))
-        )
-    return out
+    inner = (k > 0) & (k < n)
+    x = np.where(inner, k, 1.0)
+    r = np.where(inner, n - k, 1.0)
+    m = x.size
+    st = _stirlerr(np.concatenate((x, r, [n])))
+    dev = _bd0(np.concatenate((x, r)), np.repeat((n * q, n * (1.0 - q)), m))
+    log_p = st[-1] - (st[:m] + st[m:-1]) - (dev[:m] + dev[m:])
+    log_p += 0.5 * np.log(n / (2.0 * math.pi * (x * r)))
+    return np.where(inner, log_p, np.where(k == 0, n * math.log1p(-q), n * math.log(q)))
 
 
 @dataclass(frozen=True)
@@ -150,17 +145,16 @@ def deficits(counts, q: float, n: int):
     """Deficit g(k) = -2 (log h(k|q,n) - log h(mode|q,n)) of each count, zero at the mode.
 
     The mode is floor(q*(n+1)). ``counts`` is a count or an integer array
-    of counts; the kernel runs once per distinct count. A deficit is
-    never negative: one that rounds below zero, at a count whose pmf ties
-    the mode's, is +0.0, and one below -``_LR_SLACK`` raises
-    :class:`ConsistencyError`, since it means a broken invariant.
+    of counts, and the result has its shape; the kernel runs once per count
+    given. A deficit is never negative: one that rounds below zero, at a
+    count whose pmf ties the mode's, is +0.0, and one below -``_LR_SLACK``
+    raises :class:`ConsistencyError`, since it means a broken invariant.
     """
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    values = _log_pmf(np.append(distinct, max_likelihood_index(q, n)), q, n)
+    values = _log_pmf(np.append(counts, max_likelihood_index(q, n)), q, n)
     g = -2.0 * (values[:-1] - values[-1])
     if g.min() < -_LR_SLACK:
         raise ConsistencyError(f"deficit {g.min()} below -{_LR_SLACK}; likelihood order violated")
-    return np.where(g <= 0.0, 0.0, g)[inverse]
+    return np.where(g <= 0.0, 0.0, g).reshape(np.shape(counts))
 
 
 def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int):

@@ -181,6 +181,7 @@ def lr_test(
     tau, are the counts just below the closed span between the two optima,
     then those at each breakpoint inside it; so the first smallest deficit
     sum g_c(i) + g_t(j) has the smallest (i, j), and H = 0 where they overlap.
+    Each arm's deficits come from one window of the consecutive counts in reach.
     """
     y_c, t = control.values, _shifted(treatment.values, d)
     q = spec.q
@@ -191,11 +192,13 @@ def lr_test(
     starts = [np.searchsorted(y, span_lo) for y in (y_c, t)]
     stops = [np.searchsorted(y, span_hi, "right") for y in (y_c, t)]
     points = np.sort(np.concatenate([y_c[starts[0] : stops[0]], t[starts[1] : stops[1]]]))
-    # Distinct by hand: np.unique would import numpy.ma, 15-25 ms per process.
+    # Distinct by hand: numpy's unique would import numpy.ma, 15-25 ms per process.
     points = points[np.append(True, points[1:] != points[:-1])]
     i = np.append(starts[0], np.searchsorted(y_c, points, "right"))
     j = np.append(starts[1], np.searchsorted(t, points, "right"))
-    score = deficits(i, q, y_c.size) + deficits(j, q, t.size)
+    g_c = deficits(np.arange(starts[0], stops[0] + 1), q, y_c.size)
+    g_t = deficits(np.arange(starts[1], stops[1] + 1), q, t.size)
+    score = g_c[i - starts[0]] + g_t[j - starts[1]]
     best = int(np.argmin(score))
     statistic = float(score[best])
     return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))

@@ -391,21 +391,23 @@ def _chunk_size(spec: ScenarioSpec, jobs: int) -> int:
 
 def _evaluate_block(
     spec: ScenarioSpec, methods: tuple[Method, ...], start: int, stop: int
-) -> tuple[list[IntervalRows | None], np.ndarray]:
+) -> tuple[list[IntervalRows], np.ndarray]:
     """Each method's intervals for replications start..stop-1, and the LR rejections at true_delta.
 
-    A method whose inference fails on every row gets None; such failures
-    depend only on the sizes, q and alpha. An overflow depends on the
-    draws: it leaves a non-finite endpoint in its own row only.
+    A method whose inference raises on the block gives every row NaN
+    endpoints and no flags; such failures depend only on the sizes, q and
+    alpha. An overflow depends on the draws: it leaves a non-finite
+    endpoint in its own row only.
     """
     y_c, y_t = _draw_block(spec, start, stop)
     qspec = QuantileSpec(spec.q, spec.alpha)
-    intervals: list[IntervalRows | None] = []
+    intervals: list[IntervalRows] = []
     for method in methods:
         try:
             intervals.append(_METHODS[method][1](y_c, y_t, qspec))
         except EstimationError:
-            intervals.append(None)
+            failed = np.full(stop - start, np.nan)
+            intervals.append(IntervalRows(failed, failed, {}))
     return intervals, lr_rejections(y_c, y_t, qspec, spec.true_delta)
 
 
@@ -458,14 +460,8 @@ def run_coverage_study(
     d = spec.true_delta
     rows = []
     for pos, method in enumerate(method_tuple):
-        # Each block's endpoints; NaN where the method raised on the block.
         ends = np.concatenate(
-            [
-                np.full((2, len(rejected)), np.nan) if intervals[pos] is None
-                else (intervals[pos].lower, intervals[pos].upper)
-                for intervals, rejected in results
-            ],
-            axis=1,
+            [(intervals[pos].lower, intervals[pos].upper) for intervals, _ in results], axis=1
         )
         scored = ends[:, np.isfinite(ends).all(axis=0)]
         lower, upper = scored

@@ -313,22 +313,19 @@ def per_block_coverage_tally(blocks, methods, true_delta: float, replications: i
     """A study's coverage rows from its blocks' (intervals, rejections), block by block.
 
     The reference for the reduction in ``run_coverage_study``. Per block
-    and method: a block where the method raised (None) fails every row;
-    otherwise a row with a non-finite endpoint fails, and the others add
-    their containment of ``true_delta`` and their endpoints, in
-    replication order. The widths are then summed one Python float at a
-    time, from endpoints scaled down by a power of two where a width or
-    the sum could pass the float range. Returns one (method, coverage,
-    mean_width, reject_rate, mc_stderr, failures) tuple per method.
+    and method, a row with a non-finite endpoint fails (every row of a
+    block where the method raised has NaN ones), and the others add their
+    containment of ``true_delta`` and their endpoints, in replication
+    order. The widths are then summed one Python float at a time, from
+    endpoints scaled down by a power of two where a width or the sum could
+    pass the float range. Returns one (method, coverage, mean_width,
+    reject_rate, mc_stderr, failures) tuple per method.
     """
     reject_rate = sum(int(rejections.sum()) for _, rejections in blocks) / replications
     rows = []
     for pos, method in enumerate(methods):
         failures, contained, pairs = 0, 0, []
-        for intervals, rejections in blocks:
-            if intervals[pos] is None:
-                failures += len(rejections)
-                continue
+        for intervals, _ in blocks:
             for lower, upper in zip(intervals[pos].lower.tolist(), intervals[pos].upper.tolist()):
                 if math.isfinite(lower) and math.isfinite(upper):
                     contained += lower <= true_delta <= upper

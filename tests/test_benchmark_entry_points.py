@@ -2,19 +2,28 @@
 
 A traced benchmark run wraps every entry point of ``perfbench/shim.py``'s
 TRACED table and fails outright when one is gone; the oracle spot check in
-``perfbench/workloads.py`` calls the library directly.
+``perfbench/workloads.py`` calls the library directly. A call that no
+longer goes through a wrapped name (one bound before the wrapper was
+installed, say) records no span, and the benchmark's per-layer figure for
+it reads zero; the traced runs below catch that.
 """
 
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantdiff
 from quantdiff import QuantileSpec, conservative_ci, ingest_sample, lr_test
 
-SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
+ROOT = Path(__file__).resolve().parents[1]
+SHIM = ROOT / "perfbench" / "shim.py"
 # run_path compiles the source in memory: nothing is written under perfbench/.
 TRACED = runpy.run_path(str(SHIM), run_name="perfbench_shim")["TRACED"]
 
@@ -54,3 +63,47 @@ def test_spot_check_result_fields():
     assert (result.d, result.statistic, result.p_value) == (0.0, 0.0, 1.0)
     assert (result.i_star, result.j_star) == (2, 2)
     assert result.rejects_at(spec.alpha) is False
+
+
+# The spans each traced CLI call must record, by subcommand.
+EXPECTED_SPANS = {
+    "ci": {
+        "region.conservative_ci",
+        "two_step.two_step_ci",
+        "baselines.price_bonnet_ci",
+        "baselines.donner_zou_ci",
+        "region.acceptance_grid",
+        "core.read_sample_csv",
+        "core.ingest_sample",
+    },
+    "test": {"region.lr_test"},
+    "region": {"region.acceptance_grid", "region.write_acceptance_grid_csv"},
+    "simulate": {"simulate.run_coverage_study", "region.acceptance_grid"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_SPANS))
+def test_traced_call_records_its_spans(tmp_path, command):
+    rng = np.random.default_rng(3)
+    control, treatment = tmp_path / "control.csv", tmp_path / "treatment.csv"
+    np.savetxt(control, rng.normal(size=200))
+    np.savetxt(treatment, rng.normal(0.3, 1.0, size=150))
+    samples = ["--control", str(control), "--treatment", str(treatment)]
+    argv = {
+        "ci": ["ci", *samples, "--q", "0.5"],
+        "test": ["test", *samples, "--q", "0.5", "--d", "0.3"],
+        "region": ["region", "--n-c", "60", "--n-t", "40", "--q", "0.5"],
+        "simulate": ["simulate", "--n-c", "60", "--n-t", "40", "--q", "0.5", "--replications", "9"],
+    }[command]
+    report, out = tmp_path / "report.json", tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SHIM), str(report), "1", "--", *argv, "--output", str(out)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = {name for name, *_ in json.loads(report.read_text())["spans"]}
+    assert EXPECTED_SPANS[command] <= spans, spans

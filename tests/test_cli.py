@@ -361,6 +361,15 @@ class TestCI:
         r = json.loads(out.splitlines()[0])
         assert r["lower"] <= 0.0 <= r["upper"]
 
+    @pytest.mark.parametrize("command", ["ci", "region"])
+    def test_both_arms_from_stdin_exit_2(self, capsys, monkeypatch, command):
+        # The treatment would read the stdin the control has exhausted.
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n"))
+        argv = [command, "--control", "-", "--treatment", "-", "--q", "0.5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: --control and --treatment cannot both be '-': stdin is read once\n"
+
     def test_output_file(self, tmp_path, capsys, sample_files):
         c, t = sample_files
         dest = tmp_path / "out.json"
@@ -590,6 +599,14 @@ class TestRegion:
         code, out, err = _run(capsys, ["region", "--control", identical_files[0], "--q", "0.5"])
         assert code == 2 and out == ""
         assert err == "error: provide both --control and --treatment, or sizes\n"
+
+    @pytest.mark.parametrize("size", [["--n-c", "3"], ["--n-t", "3"], ["--n-c", "3", "--n-t", "3"]])
+    def test_files_with_sizes_exit_2(self, capsys, identical_files, size):
+        c, t = identical_files
+        argv = ["region", *size, "--control", c, "--treatment", t, "--q", "0.5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: --n-c/--n-t cannot be given with --control/--treatment\n"
 
     def test_size_past_64_bits_exits_2_naming_the_sizes(self, capsys):
         # The window's counts do not fit an intp, so it fails before any allocation.

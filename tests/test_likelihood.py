@@ -20,7 +20,7 @@ from quantdiff import (
     normal_quantile,
 )
 from quantdiff.errors import DomainError, IndexOutOfRangeError
-from quantdiff.likelihood import deficits, two_sided_z
+from quantdiff.likelihood import _log_pmf, deficits, two_sided_z
 
 from oracles import exact_binom_pmf, exact_log_binom_pmf, mode_index, ratio_walk_deficits
 
@@ -75,6 +75,33 @@ class TestLogBinomialPmf:
             counts = np.round(n * q + rng.uniform(-5.0, 5.0, size=30) * sd).astype(np.int64)
             want = ratio_walk_deficits(counts.tolist(), q, n)
             assert deficits(counts, q, n) == pytest.approx(want, rel=0, abs=1e-10), q
+
+    def test_deficits_keep_the_shape_of_their_counts(self):
+        assert deficits(3, 0.3, 10).shape == ()
+        assert deficits(np.arange(12).reshape(3, 4) % 11, 0.3, 10).shape == (3, 4)
+
+    def test_unsorted_repeated_counts_match_one_at_a_time(self):
+        # The kernel runs on the counts as given, so a count's deficit does
+        # not depend on its neighbours in the array.
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            n = int(rng.choice([1, 2, 3, rng.integers(4, 10**4), rng.integers(10**4, 10**9)]))
+            q = float(rng.uniform(0.001, 0.999))
+            counts = rng.integers(0, n + 1, size=int(rng.integers(1, 30)))
+            counts = np.concatenate([counts, [n, 0], counts[::-1]])
+            one_at_a_time = np.array([deficits(int(k), q, n) for k in counts])
+            got = deficits(counts, q, n)
+            assert np.array_equal(got.view(np.uint64), one_at_a_time.view(np.uint64)), (n, q)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("q", [2.2250738585072014e-308, 1e-300, 0.3, 0.5, 1 - 1e-16])
+    def test_edge_counts_take_the_closed_forms(self, n, q):
+        # The general form also runs at an edge count, on a stand-in of 1,
+        # and must raise no floating-point error there.
+        with np.errstate(all="raise"):
+            got = _log_pmf(np.array([0, n, n, 0]), q, n)
+        at_0, at_n = n * math.log1p(-q), n * math.log(q)
+        assert got.tolist() == [at_0, at_n, at_n, at_0]
 
     def test_against_scipy(self):
         rng = np.random.default_rng(11)
