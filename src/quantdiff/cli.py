@@ -143,13 +143,13 @@ def _load_samples(args: argparse.Namespace) -> tuple[OrderedSample, OrderedSampl
 
 def cmd_ci(args: argparse.Namespace) -> int:
     control, treatment = _load_samples(args)
-    spec = QuantileSpec(args.q, args.alpha)
+    spec = QuantileSpec(args.q, args.alpha, args.use_exact)
     methods = select_methods(args.methods)
 
     records = []
     for method in methods:
         try:
-            ci = compute_ci(method, control, treatment, spec, args.use_exact)
+            ci = compute_ci(method, control, treatment, spec)
         except EstimationError as exc:
             raise EstimationError(f"{method.value}: {exc}") from exc
         records.append(
@@ -205,8 +205,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         n_c, n_t = args.n_c, args.n_t
     else:
         raise ValidationError("provide --control/--treatment files or --n-c/--n-t sizes")
-    spec = QuantileSpec(args.q, args.alpha)
-    grid = acceptance_grid(n_c, n_t, spec, args.use_exact)
+    grid = acceptance_grid(n_c, n_t, QuantileSpec(args.q, args.alpha, args.use_exact))
     with _open_output(args.output, binary=True) as out:
         write_acceptance_grid_csv(grid, out)
     return 0

@@ -59,6 +59,16 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0")
 
 
+def _check_q(q: float) -> None:
+    _check_probability(q, "q")
+    # The binomial log-pmf divides a count by n q, which stays finite
+    # only for a normal (not subnormal) q.
+    if q < sys.float_info.min:
+        raise DomainError(
+            f"q={q!r} is too small: below the smallest normal double {sys.float_info.min!r}"
+        )
+
+
 def _check_sizes(*sizes: int) -> None:
     if min(sizes) < 1:
         raise DomainError(f"sample sizes must be >= 1, got {', '.join(map(str, sizes))}")
@@ -66,21 +76,19 @@ def _check_sizes(*sizes: int) -> None:
 
 @dataclass(frozen=True)
 class QuantileSpec:
-    """Target quantile ``q`` and two-sided significance level ``alpha``."""
+    """Target quantile ``q``, two-sided level ``alpha`` and the region's statistic ``exact``.
+
+    Only ``lr_conservative`` and the region export read ``exact``: True exact,
+    False asymptotic, None as :func:`~quantdiff.region.acceptance_grid` picks.
+    """
 
     q: float
     alpha: float
+    exact: bool | None = None
 
     def __post_init__(self) -> None:
-        _check_probability(self.q, "q")
+        _check_q(self.q)
         _check_alpha(self.alpha)
-        # The binomial log-pmf divides a count by n q, which stays finite
-        # only for a normal (not subnormal) q.
-        if self.q < sys.float_info.min:
-            raise DomainError(
-                f"q={self.q!r} is too small: below the smallest normal double "
-                f"{sys.float_info.min!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)

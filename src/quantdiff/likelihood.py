@@ -29,12 +29,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantileSpec, _check_alpha, _check_probability, _check_sizes, max_likelihood_index
+from .core import (
+    QuantileSpec,
+    _check_alpha,
+    _check_probability,
+    _check_q,
+    _check_sizes,
+    max_likelihood_index,
+)
 from .errors import ConsistencyError, DomainError, IndexOutOfRangeError
 
 # Largest negative LR value attributed to rounding noise; anything more
 # negative means a broken invariant, not floating-point slack.
 _LR_SLACK = 1e-9
+
+
+def _check_count(name: str, k: int, n: int) -> None:
+    if k < 0 or k > n:
+        raise IndexOutOfRangeError(f"count {name}={k} outside [0, {n}]")
 
 
 def log_binomial_pmf(i: int, q: float, n: int) -> float:
@@ -45,19 +57,19 @@ def log_binomial_pmf(i: int, q: float, n: int) -> float:
     i : int
         Number of successes, 0 <= i <= n.
     q : float
-        Success probability, strictly inside (0, 1).
+        Success probability, strictly inside (0, 1) and a normal double,
+        as :class:`QuantileSpec` requires.
     n : int
         Number of trials, n >= 1.
 
     Returns
     -------
     float
-        ln P(X = i) for X ~ Binomial(n, q), always finite for q in (0, 1).
+        ln P(X = i) for X ~ Binomial(n, q), always finite for such q.
     """
-    _check_probability(q, "q")
+    _check_q(q)
     _check_sizes(n)
-    if i < 0 or i > n:
-        raise IndexOutOfRangeError(f"count i={i} outside [0, {n}]")
+    _check_count("i", i, n)
     return float(_log_pmf(np.array([i]), q, n)[0])
 
 
@@ -160,10 +172,8 @@ def deficits(counts, q: float, n: int):
 def _lr_statistic(deficit, i: int, j: int, spec: QuantileSpec, n_c: int, n_t: int):
     """LRStatistic of deficit(i | q, n_c) + deficit(j | q, n_t) after the size and count checks."""
     _check_sizes(n_c, n_t)
-    if i < 0 or i > n_c:
-        raise IndexOutOfRangeError(f"count i={i} outside [0, {n_c}]")
-    if j < 0 or j > n_t:
-        raise IndexOutOfRangeError(f"count j={j} outside [0, {n_t}]")
+    _check_count("i", i, n_c)
+    _check_count("j", j, n_t)
     return LRStatistic(float(deficit(i, spec.q, n_c) + deficit(j, spec.q, n_t)))
 
 

@@ -144,7 +144,7 @@ def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float
     """
     t = _shifted(y_t, d)
     n_c, n_t = y_c.shape[1], t.shape[1]
-    region = acceptance_grid(n_c, n_t, spec, True)
+    region = acceptance_grid(n_c, n_t, QuantileSpec(spec.q, spec.alpha, True))
     k_t = max_likelihood_index(spec.q, n_t)
     rows = np.arange(len(y_c))
     down = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t + 1])), "left")
@@ -249,23 +249,20 @@ def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> Ac
     return AcceptanceGrid(exact, threshold, i_lo, j_lo, *arrays)
 
 
-def acceptance_grid(
-    n_c: int, n_t: int, spec: QuantileSpec, use_exact: bool | None = None
-) -> AcceptanceGrid:
+def acceptance_grid(n_c: int, n_t: int, spec: QuantileSpec) -> AcceptanceGrid:
     """The acceptance region over the marginal windows, as its arrays.
 
     H of a cell is ``g_c[:, None] + g_t``, accepted below ``threshold``;
     the accepted set is the integer ellipse (exactly under the asymptotic
-    statistic, approximately under the exact one). ``use_exact=None``
+    statistic, approximately under the exact one). ``spec.exact=None``
     picks the exact statistic when both samples have at most 10,000
     values and the asymptotic form above that. Equal arguments return the
     same shared, read-only grid.
     """
     _check_sizes(n_c, n_t)
-    if use_exact is None:
-        use_exact = max(n_c, n_t) <= 10_000
+    exact = max(n_c, n_t) <= 10_000 if spec.exact is None else spec.exact
     try:
-        return _build_region(n_c, n_t, spec.q, spec.alpha, bool(use_exact))
+        return _build_region(n_c, n_t, spec.q, spec.alpha, bool(exact))
     except (OverflowError, MemoryError):
         raise DomainError(
             f"the acceptance windows of n_c = {n_c} and n_t = {n_t} do not fit in memory"
@@ -273,12 +270,10 @@ def acceptance_grid(
 
 
 @quiet_overflow
-def conservative_rows(
-    y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, use_exact: bool | None = None
-) -> IntervalRows:
+def conservative_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`conservative_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     n_c, n_t = y_c.shape[1], y_t.shape[1]
-    region = acceptance_grid(n_c, n_t, spec, use_exact)
+    region = acceptance_grid(n_c, n_t, spec)
     i, j_first, j_last = region.accepted_i, region.j_first, region.j_last
     clamped = bool(((i == 0) | (j_first == 0) | (i == n_c) | (j_last == n_t)).any())
     j_first = np.maximum(j_first, 1)
@@ -301,10 +296,7 @@ def conservative_rows(
 
 
 def conservative_ci(
-    control: OrderedSample,
-    treatment: OrderedSample,
-    spec: QuantileSpec,
-    use_exact: bool | None = None,
+    control: OrderedSample, treatment: OrderedSample, spec: QuantileSpec
 ) -> ConfidenceInterval:
     """Confidence interval from the full acceptance-region search.
 
@@ -314,10 +306,10 @@ def conservative_ci(
     from the extremes and reported through the clamped_index flag. The
     flag is also set where an accepted pair has i = n_c or j = n_t. An
     edge pair is reachable, so the LR test accepts, for every d far
-    enough to one side; the endpoints are not moved. ``use_exact`` picks
+    enough to one side; the endpoints are not moved. ``spec.exact`` picks
     the statistic as in :func:`acceptance_grid`.
     """
-    return conservative_rows(control.values[None], treatment.values[None], spec, use_exact).first()
+    return conservative_rows(control.values[None], treatment.values[None], spec).first()
 
 
 # Bytes per h field: the longest %.9g text of a double, "-1.23456789e-100".

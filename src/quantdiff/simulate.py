@@ -334,28 +334,18 @@ def generate_pair(
 # so a module attribute rebound later (a timing wrapper, say) is the one
 # that runs.
 _METHODS = {
-    Method.LR_CONSERVATIVE: (
-        lambda c, t, spec, use_exact: conservative_ci(c, t, spec, use_exact),
-        conservative_rows,
-    ),
-    Method.LR_TWO_STEP: (lambda c, t, spec, use_exact: two_step_ci(c, t, spec), two_step_rows),
-    Method.PRICE_BONNET: (
-        lambda c, t, spec, use_exact: price_bonnet_ci(c, t, spec),
-        price_bonnet_rows,
-    ),
-    Method.DONNER_ZOU: (lambda c, t, spec, use_exact: donner_zou_ci(c, t, spec), donner_zou_rows),
+    Method.LR_CONSERVATIVE: (lambda c, t, spec: conservative_ci(c, t, spec), conservative_rows),
+    Method.LR_TWO_STEP: (lambda c, t, spec: two_step_ci(c, t, spec), two_step_rows),
+    Method.PRICE_BONNET: (lambda c, t, spec: price_bonnet_ci(c, t, spec), price_bonnet_rows),
+    Method.DONNER_ZOU: (lambda c, t, spec: donner_zou_ci(c, t, spec), donner_zou_rows),
 }
 
 
 def compute_ci(
-    method: Method,
-    control: OrderedSample,
-    treatment: OrderedSample,
-    spec: QuantileSpec,
-    use_exact: bool | None = None,
+    method: Method, control: OrderedSample, treatment: OrderedSample, spec: QuantileSpec
 ) -> ConfidenceInterval:
-    """The method's interval; ``use_exact`` applies to lr_conservative only."""
-    return _METHODS[method][0](control, treatment, spec, use_exact)
+    """The method's interval; ``spec.exact`` applies to lr_conservative only."""
+    return _METHODS[method][0](control, treatment, spec)
 
 
 def select_methods(methods: str | Iterable[Method | str]) -> tuple[Method, ...]:

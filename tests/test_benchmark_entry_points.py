@@ -107,3 +107,32 @@ def test_traced_call_records_its_spans(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     spans = {name for name, *_ in json.loads(report.read_text())["spans"]}
     assert EXPECTED_SPANS[command] <= spans, spans
+
+
+# Two small scenarios for the oracle spot check, which calls the library
+# directly where every other benchmark path goes through the CLI.
+SPOT_CHECK_RUN = """
+import json, oracle, workloads
+scenarios = [
+    oracle.Scenario("normal", 0, 1, 500, 0.5, 0.05, 500, 11),
+    oracle.Scenario("lognormal", 0, 1, 500, 0.9, 0.05, 500, 12),
+]
+print(json.dumps([workloads.library_spot_check(sc) for sc in scenarios]))
+"""
+
+
+def test_library_spot_check_finds_no_problems(tmp_path):
+    parts = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    # No bytecode is written, so the run leaves nothing under perfbench/.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, parts))}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPOT_CHECK_RUN],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]

@@ -129,6 +129,15 @@ class TestLogBinomialPmf:
         with pytest.raises(IndexOutOfRangeError):
             log_binomial_pmf(11, 0.5, 10)
 
+    def test_subnormal_q_raises_as_the_spec_does(self):
+        # 1 / (n q) overflows for a subnormal q; the pytest config turns
+        # the RuntimeWarning into an error, so the check must come first.
+        with pytest.raises(DomainError) as pmf:
+            log_binomial_pmf(0, 5e-324, 1)
+        with pytest.raises(DomainError) as spec:
+            QuantileSpec(5e-324, 0.05)
+        assert str(pmf.value) == str(spec.value)
+
 
 class TestLRStatistic:
     def test_zero_at_maximizers(self):

@@ -37,8 +37,8 @@ from oracles import (
 GRID_101 = ingest_sample(np.arange(1.0, 102.0))
 
 
-def _spec(q=0.5, alpha=0.05):
-    return QuantileSpec(q=q, alpha=alpha)
+def _spec(q=0.5, alpha=0.05, exact=None):
+    return QuantileSpec(q=q, alpha=alpha, exact=exact)
 
 
 def constrained_max_indexes(control, treatment, q, d):
@@ -319,6 +319,22 @@ class TestLRRejections:
                 assert region.lr_rejections(y_c, y_t, spec, d)[0] == want.rejects_at(alpha)
                 assert want.rejects_at(alpha) == (alpha == 0.05)
 
+    @pytest.mark.parametrize("n_c", [200, 10_001])
+    def test_rows_decide_exactly_whatever_the_spec_says(self, n_c):
+        # At q = 0.25 with 12 treatment values the asymptotic region differs
+        # from the exact one near each row's interval ends: on this d grid a
+        # read of the asymptotic region decides 10 (n_c = 200) and 22
+        # (n_c = 10,001) row pairs otherwise.
+        rng = np.random.default_rng(0)
+        y_c = np.sort(rng.normal(size=(4, n_c)), axis=1)
+        y_t = np.sort(rng.normal(0.3, 1.0, size=(4, 12)), axis=1)
+        spec = _spec(q=0.25, exact=False)
+        for d in np.linspace(-2.0, 2.5, 91).tolist():
+            rejects = region.lr_rejections(y_c, y_t, spec, d)
+            for r in range(4):
+                want = lr_test(OrderedSample(y_c[r]), OrderedSample(y_t[r]), spec, d)
+                assert rejects[r] == want.rejects_at(spec.alpha), (r, d)
+
 
 class TestLRTest:
     def test_identical_d0(self):
@@ -336,6 +352,18 @@ class TestLRTest:
         assert stats[0] == 0.0
         assert stats == sorted(stats)
         assert stats[-1] > stats[1] > 0.0
+
+    @pytest.mark.parametrize("n_c", [300, 10_001])
+    def test_ignores_the_statistic_of_the_spec(self, n_c):
+        rng = np.random.default_rng(n_c)
+        y_c = ingest_sample(rng.normal(size=n_c))
+        y_t = ingest_sample(np.round(rng.normal(0.3, 1.0, size=200), 1))
+        for d in (0.0, 0.3, 1.0):
+            outcomes = {
+                (r.statistic, r.p_value, r.i_star, r.j_star)
+                for r in (lr_test(y_c, y_t, _spec(exact=e), d) for e in (None, True, False))
+            }
+            assert len(outcomes) == 1, d
 
     def test_rejection_rate_near_nominal_null(self):
         # Monte Carlo check under the null: i.i.d. standard normal samples,
@@ -433,9 +461,7 @@ class TestConservativeCI:
         )
         for y_c, y_t in (continuous, tied):
             for exact in (True, False):
-                got = conservative_ci(
-                    ingest_sample(y_c), ingest_sample(y_t), _spec(), use_exact=exact
-                )
+                got = conservative_ci(ingest_sample(y_c), ingest_sample(y_t), _spec(exact=exact))
                 want = full_grid_conservative(y_c, y_t, 0.5, 0.05, exact=exact)
                 assert want is not None
                 assert got.lower == want[0], (len(y_c), exact)
@@ -485,8 +511,8 @@ class TestConservativeCI:
         rng = np.random.default_rng(99)
         y_c = ingest_sample(rng.normal(size=400))
         y_t = ingest_sample(rng.normal(size=400))
-        exact = conservative_ci(y_c, y_t, _spec(), use_exact=True)
-        asym = conservative_ci(y_c, y_t, _spec(), use_exact=False)
+        exact = conservative_ci(y_c, y_t, _spec(exact=True))
+        asym = conservative_ci(y_c, y_t, _spec(exact=False))
         assert asym.width == pytest.approx(exact.width, rel=0.2)
 
 
@@ -505,7 +531,7 @@ def _accepted_cells(grid):
 
 class TestAcceptanceGrid:
     def test_asymptotic_ellipse_101(self):
-        grid = acceptance_grid(101, 101, _spec(), use_exact=False)
+        grid = acceptance_grid(101, 101, _spec(exact=False))
         threshold = 3.8414588206941285
         i, j, h = _cells(grid)
         want_h = (i - 50.5) ** 2 / 25.25 + (j - 50.5) ** 2 / 25.25
@@ -516,19 +542,33 @@ class TestAcceptanceGrid:
         assert not grid.exact
 
     def test_near_one_alpha_nearly_empty(self):
-        grid = acceptance_grid(101, 101, _spec(alpha=0.9999), use_exact=False)
+        grid = acceptance_grid(101, 101, _spec(alpha=0.9999, exact=False))
         for i, j in _accepted_cells(grid):
             assert abs(i - 50.5) < 1.0 and abs(j - 50.5) < 1.0
 
     def test_smallest_case(self):
-        grid = acceptance_grid(1, 1, _spec(), use_exact=True)
+        grid = acceptance_grid(1, 1, _spec(exact=True))
         i, j, h = _cells(grid)
         assert i.ravel().tolist() == [0, 1] and j.tolist() == [0, 1]
         assert np.isfinite(h).all() and (h >= 0.0).all()
 
+    @pytest.mark.parametrize(
+        "n_c, n_t, exact, want",
+        [
+            (10_000, 7, None, True),
+            (10_001, 7, None, False),
+            (7, 10_001, None, False),
+            (500, 7, False, False),
+            (10_001, 7, True, True),
+        ],
+    )
+    def test_spec_picks_the_statistic(self, n_c, n_t, exact, want):
+        # None is exact when both samples have at most 10,000 values.
+        assert acceptance_grid(n_c, n_t, _spec(exact=exact)).exact is want
+
     def test_window_covers_all_accepted(self):
         # every accepted cell of the full grid must appear in the window
-        grid = acceptance_grid(30, 30, _spec(q=0.3), use_exact=True)
+        grid = acceptance_grid(30, 30, _spec(q=0.3, exact=True))
         windowed = _accepted_cells(grid)
         lp_c = st.binom.logpmf(np.arange(31), 30, 0.3)
         thr = st.chi2.isf(0.05, 1)
@@ -565,8 +605,8 @@ class TestAcceptanceGrid:
         y_c, y_t = rng.normal(size=n_c), rng.normal(size=n_t)
         if rounded:
             y_c, y_t, d = np.round(y_c, 1), np.round(y_t, 1), round(d, 1)
-        spec = _spec(q=q)
-        grid = acceptance_grid(n_c, n_t, spec, use_exact=True)
+        spec = _spec(q=q, exact=True)
+        grid = acceptance_grid(n_c, n_t, spec)
         r = lr_test(ingest_sample(y_c), ingest_sample(y_t), spec, d)
         i, j = r.i_star - grid.i_lo, r.j_star - grid.j_lo
         if not (0 <= i < grid.g_c.size and 0 <= j < grid.g_t.size):
@@ -586,14 +626,14 @@ class TestAcceptanceGrid:
     # C pow(x, 2.0) misrounded the scalar square at some of these cells.
     @example(n_c=492, n_t=67, q=0.6344101359849695, alpha=0.1)
     def test_asymptotic_statistic_reads_its_grid_cell(self, n_c, n_t, q, alpha):
-        spec = _spec(q=q, alpha=alpha)
-        grid = acceptance_grid(n_c, n_t, spec, use_exact=False)
+        spec = _spec(q=q, alpha=alpha, exact=False)
+        grid = acceptance_grid(n_c, n_t, spec)
         for i, g_c in enumerate(grid.g_c.tolist(), start=grid.i_lo):
             for j, g_t in enumerate(grid.g_t.tolist(), start=grid.j_lo):
                 assert lr_statistic_asymptotic(i, j, spec, n_c, n_t).value == g_c + g_t
 
     def test_csv_export(self):
-        grid = acceptance_grid(3, 3, _spec(), use_exact=True)
+        grid = acceptance_grid(3, 3, _spec(exact=True))
         buf = io.BytesIO()
         write_acceptance_grid_csv(grid, buf)
         lines = buf.getvalue().decode("ascii").splitlines()
@@ -620,11 +660,11 @@ class TestAcceptanceGrid:
         n_t=hst.integers(1, 400),
         q=hst.sampled_from([1e-3, 0.02, 0.5, 0.98, 0.999]),
         alpha=hst.sampled_from([1e-6, 0.05, 0.9999]),
-        use_exact=hst.sampled_from([True, False, None]),
+        exact=hst.sampled_from([True, False, None]),
         cell=hst.integers(0, 2**32),
     )
-    def test_csv_bytes_match_per_cell_writer(self, n_c, n_t, q, alpha, use_exact, cell):
-        grid = acceptance_grid(n_c, n_t, _spec(q=q, alpha=alpha), use_exact)
+    def test_csv_bytes_match_per_cell_writer(self, n_c, n_t, q, alpha, exact, cell):
+        grid = acceptance_grid(n_c, n_t, _spec(q=q, alpha=alpha, exact=exact))
         assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
         # With the threshold moved onto one cell's h, that cell must read 0.
         i, j = cell % grid.g_c.size, cell // grid.g_c.size % grid.g_t.size
@@ -632,7 +672,7 @@ class TestAcceptanceGrid:
         assert self._csv(write_acceptance_grid_csv, edge) == self._csv(per_cell_grid_csv, edge)
 
     def test_csv_bytes_match_per_cell_writer_large_asymptotic(self):
-        grid = acceptance_grid(20_000, 30_000, _spec(q=0.9), use_exact=False)
+        grid = acceptance_grid(20_000, 30_000, _spec(q=0.9, exact=False))
         assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
 
     # Shapes on each side of the writer's chunk of 4,096 cells: many rows
@@ -642,7 +682,7 @@ class TestAcceptanceGrid:
         # Real grids keep h below ~50; these deficits span 1e-6..1e10 with
         # exact zeros, so their cells reach exponent notation and h >= 1e9.
         rng = np.random.default_rng(n_i * n_j)
-        grid = acceptance_grid(101, 101, _spec(), use_exact=True)
+        grid = acceptance_grid(101, 101, _spec(exact=True))
 
         def deficits(n):
             g = 10 ** rng.uniform(-6, 10, n)
