@@ -3,10 +3,10 @@
 The hypothesis tau_{q,t} = tau_{q,c} + d couples the two samples through a
 single scalar tau. Both count functions i(tau) = #{y_c <= tau} and
 j(tau) = #{y_t <= tau + d} are step functions, so the constrained likelihood
-maximum is a maximum over finitely many count pairs: the counts at or
-below each breakpoint, restricted to the closed span between the two
-unconstrained optima. Counting at the breakpoints themselves, rather than
-at a tau between them, keeps every gap, however narrow.
+maximum is a maximum over finitely many count pairs: for each control
+count i, the best treatment count reachable on its tau-interval
+[y_c(i), y_c(i + 1)), by :func:`_best_pairs`. Counting on these intervals,
+rather than at a tau between two breakpoints, keeps every gap.
 
 The exact statistic H(i, j) separates into per-sample deficits,
 H = g_c(i) + g_t(j), each unimodal with minimum 0 at floor(q*(n+1)). The
@@ -15,10 +15,11 @@ deficits stay below the chi-square threshold; everything outside is
 provably rejected, so the windowed scan is exact. The region depends on
 (n_c, n_t, q, alpha, statistic) alone, so it is built once per such key
 and shared by the conservative interval, the grid export and the coverage
-engine's LR decision. That decision needs no maximizer: a row is accepted
-when some count pair reachable at d lies in the exact region, so it reads
-the region, at the control's mode count first, where most rows accept,
-while :func:`lr_test` scans its one row for (i*, j*, H).
+engine's LR decision. That decision and :func:`lr_test` score count pairs
+by the same kernel: the decision over the region's accepted rows, at the
+control's mode count first, where most rows accept, and :func:`lr_test`
+over the control counts of the span between the two unconstrained
+optima, for (i*, j*, H).
 """
 
 from __future__ import annotations
@@ -126,41 +127,50 @@ def _shifted(y_t: np.ndarray, d: float) -> np.ndarray:
     return t
 
 
+def _best_pairs(search, lo, hi, mode, g_c, g_t, j_lo):
+    """The first least g_c(i) + g_t(j) of each control count i, and its j.
+
+    The tau-interval [lo, hi) = [y_c(i), y_c(i + 1)) of i, empty at a tie,
+    reaches #{t <= lo} and the tie-block ends of t up to #{t < hi}, as
+    ``search(keys, side)`` counts them. g_t is unimodal, least at k_t (and
+    at k_t - 1 when q(n_t + 1) is an integer), so the best is an end of the
+    tie block holding ``mode`` = t(k_t), #{t < mode} or #{t <= mode},
+    clipped into that range. Sums are compared, not g_t: a large g_c can
+    round two g_t into one sum. g_t starts at count j_lo; outside it, and
+    on an empty interval, the score is +inf.
+    """
+    ends = np.stack([search(mode, "left"), search(mode, "right")])
+    j = np.clip(ends, search(lo, "right"), search(hi, "left"))
+    g_t = np.concatenate([[math.inf], g_t, [math.inf]])
+    score = np.where(lo < hi, g_c + g_t[np.clip(j - j_lo + 1, 0, g_t.size - 1)], math.inf)
+    second = score[1] < score[0]
+    return np.where(second, score[1], score[0]), np.where(second, j[1], j[0])
+
+
 def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
     """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
 
-    A read of the exact region: a row accepts when a count pair reachable
-    at d has g_c(i) + g_t(j) below the threshold (the sum, not the region's
-    budget rule, so this is exactly H >= threshold). Only accepted rows i
-    can. On [y_c(i), y_c(i + 1)), empty at a tie, the reachable j are
-    j_lo = #{t <= y_c(i)} and the tie-block ends of t = y_t - d up to
-    j_hi = #{t < y_c(i + 1)}; g_t is unimodal, so the best is the last block
-    end at or below k_t or the first at or above it, clipped into
-    [j_lo, j_hi]. Outside the window g_t counts as +inf.
-
-    The control's mode count k_c is an accepted row (g_c(k_c) = 0 and the
-    least g_t is 0), and most rows accept there, so every row reads k_c
-    first, and only the rows that do not accept there read every accepted i.
+    A read of the exact region: a row accepts when the best count pair of
+    some accepted row i, by :func:`_best_pairs`, has g_c(i) + g_t(j) below
+    the threshold (the sum, not the region's budget rule, so this is
+    exactly H >= threshold). Only accepted rows i can. The control's mode
+    count k_c is an accepted row (g_c(k_c) = 0 and the least g_t is 0), and
+    most rows accept there, so every row reads k_c first, and only the rows
+    that do not accept there read every accepted i.
     """
     t = _shifted(y_t, d)
-    n_c, n_t = y_c.shape[1], t.shape[1]
-    region = acceptance_grid(n_c, n_t, QuantileSpec(spec.q, spec.alpha, True))
-    k_t = max_likelihood_index(spec.q, n_t)
-    rows = np.arange(len(y_c))
-    down = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t + 1])), "left")
-    up = _searchsorted_rows(t, rows[:, None], _order_stats(t, np.array([k_t])), "right")
-    g_t = np.concatenate([[math.inf], region.g_t, [math.inf]])
+    region = acceptance_grid(y_c.shape[1], t.shape[1], QuantileSpec(spec.q, spec.alpha, True))
+    mode = _order_stats(t, np.array([max_likelihood_index(spec.q, t.shape[1])]))
 
     def accepts(y: np.ndarray, r: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Whether control rows y, the block's rows r, each accept at some count of i."""
-        lo, hi = _order_stats(y, i), _order_stats(y, i + 1)
-        j_lo = _searchsorted_rows(t, r[:, None], lo, "right")
-        j_hi = _searchsorted_rows(t, r[:, None], hi, "left")
-        ends = np.clip(np.clip([down[r], up[r]], j_lo, j_hi) - region.j_lo + 1, 0, g_t.size - 1)
-        score = region.g_c[i - region.i_lo] + g_t[ends].min(axis=0)
-        return ((score < region.threshold) & (lo < hi)).any(axis=1)
+        search = functools.partial(_searchsorted_rows, t, r[:, None])
+        lo, hi, g_c = _order_stats(y, i), _order_stats(y, i + 1), region.g_c[i - region.i_lo]
+        score, _ = _best_pairs(search, lo, hi, mode[r], g_c, region.g_t, region.j_lo)
+        return (score < region.threshold).any(axis=1)
 
-    accepted = accepts(y_c, rows, np.array([max_likelihood_index(spec.q, n_c)]))
+    rows = np.arange(len(y_c))
+    accepted = accepts(y_c, rows, np.array([max_likelihood_index(spec.q, y_c.shape[1])]))
     rest = np.flatnonzero(~accepted)
     accepted[rest] = accepts(y_c[rest], rest, region.accepted_i)
     return ~accepted
@@ -177,11 +187,12 @@ def lr_test(
     at or below tau + d; likelihood ties go to the smallest (i, j), the
     first maximum in ascending tau. Under the null H is asymptotically
     chi-square with one degree of freedom, so the p-value is that
-    distribution's tail beyond the statistic. The candidates, in ascending
-    tau, are the counts just below the closed span between the two optima,
-    then those at each breakpoint inside it; so the first smallest deficit
-    sum g_c(i) + g_t(j) has the smallest (i, j), and H = 0 where they overlap.
-    Each arm's deficits come from one window of the consecutive counts in reach.
+    distribution's tail beyond the statistic. Below the closed span
+    between the two optimal thresholds both deficits fall as tau grows, and
+    above it both grow, so the candidates are the control counts i of the
+    span, each with its best j by :func:`_best_pairs`; the first least sum
+    has the smallest (i, j), and H = 0 where the optima overlap. Each arm's
+    deficits come from one window of the consecutive counts in reach.
     """
     y_c, t = control.values, _shifted(treatment.values, d)
     q = spec.q
@@ -189,16 +200,11 @@ def lr_test(
     lo_c, hi_c = _order_stats(y_c, np.array([k_c, k_c + 1]))
     lo_t, hi_t = _order_stats(t, np.array([k_t, k_t + 1]))
     span_lo, span_hi = min(lo_c, lo_t), max(hi_c, hi_t)
-    starts = [np.searchsorted(y, span_lo) for y in (y_c, t)]
-    stops = [np.searchsorted(y, span_hi, "right") for y in (y_c, t)]
-    points = np.sort(np.concatenate([y_c[starts[0] : stops[0]], t[starts[1] : stops[1]]]))
-    # Distinct by hand: numpy's unique would import numpy.ma, 15-25 ms per process.
-    points = points[np.append(True, points[1:] != points[:-1])]
-    i = np.append(starts[0], np.searchsorted(y_c, points, "right"))
-    j = np.append(starts[1], np.searchsorted(t, points, "right"))
-    g_c = deficits(np.arange(starts[0], stops[0] + 1), q, y_c.size)
-    g_t = deficits(np.arange(starts[1], stops[1] + 1), q, t.size)
-    score = g_c[i - starts[0]] + g_t[j - starts[1]]
+    i = np.arange(y_c.searchsorted(span_lo), y_c.searchsorted(span_hi, "right") + 1)
+    j_lo = t.searchsorted(span_lo)
+    g_t = deficits(np.arange(j_lo, t.searchsorted(span_hi, "right") + 1), q, t.size)
+    lo, hi, g_c = _order_stats(y_c, i), _order_stats(y_c, i + 1), deficits(i, q, y_c.size)
+    score, j = _best_pairs(t.searchsorted, lo, hi, np.array([lo_t]), g_c, g_t, j_lo)
     best = int(np.argmin(score))
     statistic = float(score[best])
     return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))

@@ -19,6 +19,7 @@ from quantdiff import (
     ingest_sample,
     lr_statistic_asymptotic,
     lr_test,
+    max_likelihood_index,
     write_acceptance_grid_csv,
 )
 from quantdiff import region
@@ -149,6 +150,7 @@ class TestConstrainedMaxIndexes:
     @given(case=_two_mode_cases())
     @example(case=([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0], 0.5, 0.0))
     @example(case=([1.5], [1.5], 0.5, 0.0))
+    @example(case=([k / 10 for k in range(13)], [k / 10 for k in range(7)], 0.25, 4.0))
     def test_first_minimum_of_the_full_scan(self, case):
         # Every reachable pair scored in ascending tau; the test's (i*, j*, H)
         # is the first smallest score, bit for bit, so a faster search of the
@@ -258,6 +260,44 @@ def test_searchsorted_rows_matches_numpy_row_by_row(seed, rows, n, tied, size):
     for side in ("left", "right"):
         want = [np.searchsorted(block[r], key, side=side) for r, key in zip(row, keys)]
         assert region._searchsorted_rows(block, row, keys, side).tolist() == want, side
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n_c=hst.integers(1, 40),
+    n_t=hst.one_of(hst.integers(1, 40), hst.integers(0, 10).map(lambda m: 4 * m + 3)),
+    kind=hst.sampled_from(["continuous", "rounded", "constant"]),
+    q=hst.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]),
+    d=hst.one_of(hst.just(0.0), hst.integers(-20, 20).map(lambda k: k / 10), hst.floats(-3.0, 3.0)),
+)
+def test_best_pairs_is_the_first_least_sum_of_each_control_count(seed, n_c, n_t, kind, q, d):
+    # Per control count i, the kernel's (score, j) is the first least
+    # g_c(i) + g_t(j) over the reachable pairs with that i, and +inf where
+    # the count's tau-interval is empty. q = 0.25 or 0.75 with n_t = 4m + 3
+    # and q = 0.5 with odd n_t give the treatment two modes.
+    rng = np.random.default_rng(seed)
+    y_c, y_t = rng.normal(size=n_c), rng.normal(0.3, 1.0, size=n_t)
+    if kind == "rounded":
+        y_c, y_t = np.round(y_c, 1), np.round(y_t, 1)
+    elif kind == "constant":
+        y_c, y_t = np.full(n_c, y_c[0]), np.full(n_t, y_t[0])
+    y_c, y_t = np.sort(y_c), np.sort(y_t)
+    t = y_t - d
+    i = np.arange(n_c + 1)
+    g_c, g_t = deficits(i, q, n_c), deficits(np.arange(n_t + 1), q, n_t)
+    mode = region._order_stats(t, np.array([max_likelihood_index(q, n_t)]))
+    lo, hi = region._order_stats(y_c, i), region._order_stats(y_c, i + 1)
+    score, j = region._best_pairs(t.searchsorted, lo, hi, mode, g_c, g_t, 0)
+    pairs = reachable_pairs(y_c, y_t, d)
+    for count in i.tolist():
+        js = [pj for pi, pj in pairs if pi == count]
+        if lo[count] == hi[count]:
+            assert not js and score[count] == math.inf, count
+            continue
+        sums = [g_c[count] + g_t[pj] for pj in js]
+        first = int(np.argmin(sums))
+        assert (score[count].hex(), j[count]) == (sums[first].hex(), js[first]), count
 
 
 class TestLRRejections:
