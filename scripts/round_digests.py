@@ -4,8 +4,10 @@
 
 The round and its input files come from ``perfbench/workloads.build``.
 Each distinct call of the round runs once as ``python -m quantdiff.cli``
-under the caller's PYTHONPATH, and the round's simulate call runs once
-more at ``--jobs 2``; each line is ``sha256 label``. Two checkouts give
+under the caller's PYTHONPATH. The round's simulate call runs once more at
+``--jobs 2``, and each ``ci`` and ``region`` call once more with ``--exact``
+and once more with ``--asymptotic``, labelled ``<label>-exact`` and
+``<label>-asymptotic``. Each line is ``sha256 label``. Two checkouts give
 bit-identical outputs when their lines are the same.
 """
 
@@ -34,6 +36,9 @@ def main() -> None:
     jobs2 = list(plan.simulate.args)
     jobs2[jobs2.index("--jobs") + 1] = "2"
     calls[f"{plan.simulate.label}-jobs2"] = jobs2
+    for op in {op.label: op for op in plan.ops if op.kind in ("ci", "region")}.values():
+        for flag in ("exact", "asymptotic"):
+            calls[f"{op.label}-{flag}"] = [*op.args, f"--{flag}"]
     for label, call in calls.items():
         out = os.path.join(args.out, f"{label}.out")
         subprocess.run([sys.executable, "-m", "quantdiff.cli", *call, "--output", out], check=True)

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import IO, Iterator
 
-from . import __version__
+from . import __version__, likelihood
 from .core import OrderedSample, QuantileSpec, TWO_SAMPLE_METHODS, read_sample_csv
 from .errors import ConsistencyError, EstimationError, ValidationError
 from .region import acceptance_grid, lr_test, write_acceptance_grid_csv
@@ -49,16 +49,16 @@ def _add_mode_args(sub: argparse.ArgumentParser) -> None:
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact",
-        dest="use_exact",
+        dest="calibration",
         action="store_const",
-        const=True,
+        const=likelihood.deficits,
         help="force the exact binomial statistic (default: exact when max(N) <= 10000)",
     )
     mode.add_argument(
         "--asymptotic",
-        dest="use_exact",
+        dest="calibration",
         action="store_const",
-        const=False,
+        const=likelihood.asymptotic_deficit,
         help="force the asymptotic chi-square statistic",
     )
 
@@ -143,7 +143,7 @@ def _load_samples(args: argparse.Namespace) -> tuple[OrderedSample, OrderedSampl
 
 def cmd_ci(args: argparse.Namespace) -> int:
     control, treatment = _load_samples(args)
-    spec = QuantileSpec(args.q, args.alpha, args.use_exact)
+    spec = QuantileSpec(args.q, args.alpha, args.calibration)
     methods = select_methods(args.methods)
 
     records = []
@@ -205,7 +205,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         n_c, n_t = args.n_c, args.n_t
     else:
         raise ValidationError("provide --control/--treatment files or --n-c/--n-t sizes")
-    grid = acceptance_grid(n_c, n_t, QuantileSpec(args.q, args.alpha, args.use_exact))
+    grid = acceptance_grid(n_c, n_t, QuantileSpec(args.q, args.alpha, args.calibration))
     with _open_output(args.output, binary=True) as out:
         write_acceptance_grid_csv(grid, out)
     return 0
@@ -249,20 +249,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_shift(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # Point stdout at devnull so the flush at exit cannot fail again.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EstimationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ConsistencyError as exc:
         print(f"error: internal error (please report): {exc}", file=sys.stderr)
         return 4

@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
 
 
 class Method(str, Enum):
-    """Tags identifying how a confidence interval was constructed."""
+    """The two-sample interval methods, by their CLI and CSV names."""
 
     LR_CONSERVATIVE = "lr_conservative"
     LR_TWO_STEP = "lr_two_step"
@@ -76,15 +76,16 @@ def _check_sizes(*sizes: int) -> None:
 
 @dataclass(frozen=True)
 class QuantileSpec:
-    """Target quantile ``q``, two-sided level ``alpha`` and the region's statistic ``exact``.
+    """Target quantile ``q``, two-sided level ``alpha`` and the region's ``calibration``.
 
-    Only ``lr_conservative`` and the region export read ``exact``: True exact,
-    False asymptotic, None as :func:`~quantdiff.region.acceptance_grid` picks.
+    Only ``lr_conservative`` and the region export read it, the per-arm
+    deficit the region sums: ``likelihood.deficits`` (exact),
+    ``likelihood.asymptotic_deficit``, or None as ``acceptance_grid`` picks.
     """
 
     q: float
     alpha: float
-    exact: bool | None = None
+    calibration: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         _check_q(self.q)

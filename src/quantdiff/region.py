@@ -13,7 +13,7 @@ H = g_c(i) + g_t(j), each unimodal with minimum 0 at floor(q*(n+1)). The
 acceptance region scans only the marginal index windows where the
 deficits stay below the chi-square threshold; everything outside is
 provably rejected, so the windowed scan is exact. The region depends on
-(n_c, n_t, q, alpha, statistic) alone, so it is built once per such key
+(n_c, n_t, q, alpha, calibration) alone, so it is built once per such key
 and shared by the conservative interval, the grid export and the coverage
 engine's LR decision. That decision and :func:`lr_test` score count pairs
 by the same kernel: the decision over the region's accepted rows, at the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class LRTestResult:
 
 @dataclass(frozen=True, eq=False)
 class AcceptanceGrid:
-    """The acceptance region of one (n_c, n_t, q, alpha, statistic).
+    """The acceptance region of one (n_c, n_t, q, alpha, calibration).
 
     H(i, j) = g_c[i - i_lo] + g_t[j - j_lo] over the marginal windows that
     start at i_lo and j_lo. Row ``accepted_i[k]`` accepts exactly the
@@ -68,12 +68,12 @@ class AcceptanceGrid:
     unimodal, so the accepted j of a row are contiguous); rows that accept
     nothing are left out. The CSV export instead flags a cell accepted
     when the rounded sum h < threshold, which differs only when h rounds
-    onto the threshold. ``exact`` names the statistic the deficits use.
+    onto the threshold. ``calibration`` is the per-arm deficit g_c and g_t hold.
 
     Grids are cached and shared, so every array is read-only.
     """
 
-    exact: bool
+    calibration: Callable[..., np.ndarray]
     threshold: float
     i_lo: int
     j_lo: int
@@ -159,7 +159,7 @@ def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float
     that do not accept there read every accepted i.
     """
     t = _shifted(y_t, d)
-    region = acceptance_grid(y_c.shape[1], t.shape[1], QuantileSpec(spec.q, spec.alpha, True))
+    region = acceptance_grid(y_c.shape[1], t.shape[1], QuantileSpec(spec.q, spec.alpha, deficits))
     mode = _order_stats(t, np.array([max_likelihood_index(spec.q, t.shape[1])]))
 
     def accepts(y: np.ndarray, r: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -192,7 +192,9 @@ def lr_test(
     above it both grow, so the candidates are the control counts i of the
     span, each with its best j by :func:`_best_pairs`; the first least sum
     has the smallest (i, j), and H = 0 where the optima overlap. Each arm's
-    deficits come from one window of the consecutive counts in reach.
+    scores are :func:`deficits` of a window of the counts in reach, whatever
+    ``spec.calibration`` says: :func:`_best_pairs` looks only at k_t and k_t - 1,
+    where the asymptotic form need not be least (at n_t = 2, q = 0.3 it is least at 1).
     """
     y_c, t = control.values, _shifted(treatment.values, d)
     q = spec.q
@@ -210,22 +212,21 @@ def lr_test(
     return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))
 
 
-def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[int, np.ndarray]:
-    """Origin lo and deficits g(lo..hi) of a window holding every accepted count.
+def _window_deficits(q: float, n: int, threshold: float, calibration) -> tuple[int, np.ndarray]:
+    """Origin lo and window g(lo..hi) of calibration(k, q, n) holding every accepted count.
 
     Starts from the bounding box of the asymptotic ellipse plus one index
-    of slack. The edges move outward until the edge count itself is
-    rejected; unimodality of the deficit makes that a proof that nothing
-    beyond the edge is accepted. Only the exact deficit, whose tails decay
-    more slowly, ever moves them.
+    of slack, which holds n q +- 1. The edges move outward until the edge
+    count itself is rejected; a g unimodal with its least value in the box
+    makes that a proof that nothing beyond is accepted. Only the exact
+    deficit, whose tails decay more slowly, ever moves them.
     """
     center = n * q
     halfwidth = math.sqrt(threshold * n * q * (1.0 - q)) + 1.0
     lo = max(math.ceil(center - halfwidth), 0)
     hi = min(math.floor(center + halfwidth), n)
-    g = deficits if exact else asymptotic_deficit
     while True:
-        window = g(np.arange(lo, hi + 1, dtype=np.intp), q, n)
+        window = calibration(np.arange(lo, hi + 1, dtype=np.intp), q, n)
         if lo > 0 and window[0] < threshold:
             lo -= 1
         elif hi < n and window[-1] < threshold:
@@ -235,10 +236,10 @@ def _window_deficits(q: float, n: int, threshold: float, exact: bool) -> tuple[i
 
 
 @functools.lru_cache(maxsize=128)
-def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> AcceptanceGrid:
+def _build_region(n_c: int, n_t: int, q: float, alpha: float, calibration) -> AcceptanceGrid:
     threshold = chi2_quantile_1df(alpha)
-    i_lo, g_c = _window_deficits(q, n_c, threshold, exact)
-    j_lo, g_t = _window_deficits(q, n_t, threshold, exact)
+    i_lo, g_c = _window_deficits(q, n_c, threshold, calibration)
+    j_lo, g_t = _window_deficits(q, n_t, threshold, calibration)
     budget = threshold - g_c
     # Row i accepts j where g_t(j) < budget(i). The first such j is the
     # first where the running minimum from the left drops below the budget,
@@ -252,7 +253,7 @@ def _build_region(n_c: int, n_t: int, q: float, alpha: float, exact: bool) -> Ac
     arrays = (g_c, g_t, i_lo + rows, j_first, j_last)
     for arr in arrays:
         arr.setflags(write=False)
-    return AcceptanceGrid(exact, threshold, i_lo, j_lo, *arrays)
+    return AcceptanceGrid(calibration, threshold, i_lo, j_lo, *arrays)
 
 
 def acceptance_grid(n_c: int, n_t: int, spec: QuantileSpec) -> AcceptanceGrid:
@@ -260,15 +261,16 @@ def acceptance_grid(n_c: int, n_t: int, spec: QuantileSpec) -> AcceptanceGrid:
 
     H of a cell is ``g_c[:, None] + g_t``, accepted below ``threshold``;
     the accepted set is the integer ellipse (exactly under the asymptotic
-    statistic, approximately under the exact one). ``spec.exact=None``
-    picks the exact statistic when both samples have at most 10,000
-    values and the asymptotic form above that. Equal arguments return the
-    same shared, read-only grid.
+    statistic, approximately under the exact one). A None calibration is
+    :func:`deficits` when both samples have at most 10,000 values, else
+    :func:`asymptotic_deficit`, and shares that calibration's grid: equal
+    keys return the same read-only grid.
     """
     _check_sizes(n_c, n_t)
-    exact = max(n_c, n_t) <= 10_000 if spec.exact is None else spec.exact
+    default = deficits if max(n_c, n_t) <= 10_000 else asymptotic_deficit
+    calibration = default if spec.calibration is None else spec.calibration
     try:
-        return _build_region(n_c, n_t, spec.q, spec.alpha, bool(exact))
+        return _build_region(n_c, n_t, spec.q, spec.alpha, calibration)
     except (OverflowError, MemoryError):
         raise DomainError(
             f"the acceptance windows of n_c = {n_c} and n_t = {n_t} do not fit in memory"
@@ -312,8 +314,8 @@ def conservative_ci(
     from the extremes and reported through the clamped_index flag. The
     flag is also set where an accepted pair has i = n_c or j = n_t. An
     edge pair is reachable, so the LR test accepts, for every d far
-    enough to one side; the endpoints are not moved. ``spec.exact`` picks
-    the statistic as in :func:`acceptance_grid`.
+    enough to one side; the endpoints are not moved. ``spec.calibration``
+    picks the deficit as in :func:`acceptance_grid`.
     """
     return conservative_rows(control.values[None], treatment.values[None], spec).first()
 
@@ -347,7 +349,7 @@ def _h_format_tables() -> tuple[np.ndarray, ...]:
     length of the text when m digits remain after the trailing zeros, and
     ``prefixes[n]`` masks a text's first n bytes.
     """
-    w = np.arange(10_000, dtype=np.uint64)
+    w = np.arange(10**4, dtype=np.uint64)
     words = sum((w // 10**k % 10 + ord("0")) << 8 * (3 - k) for k in range(4))
     zeros = sum(w % 10**k == 0 for k in range(1, 5))
     decades, lengths = [], []

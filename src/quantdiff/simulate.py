@@ -344,7 +344,7 @@ _METHODS = {
 def compute_ci(
     method: Method, control: OrderedSample, treatment: OrderedSample, spec: QuantileSpec
 ) -> ConfidenceInterval:
-    """The method's interval; ``spec.exact`` applies to lr_conservative only."""
+    """The method's interval; ``spec.calibration`` applies to lr_conservative only."""
     return _METHODS[method][0](control, treatment, spec)
 
 

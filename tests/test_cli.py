@@ -22,6 +22,7 @@ from quantdiff import (
 )
 from quantdiff.cli import build_parser, main
 from quantdiff.errors import ConsistencyError
+from quantdiff.likelihood import asymptotic_deficit, deficits
 
 
 @pytest.fixture
@@ -134,9 +135,9 @@ class TestCI:
     def test_exact_and_asymptotic_set_one_destination(self, capsys):
         parser = build_parser()
         argv = ["ci", "--control", "c.csv", "--treatment", "t.csv", "--q", "0.5"]
-        assert parser.parse_args(argv).use_exact is None
-        assert parser.parse_args([*argv, "--exact"]).use_exact is True
-        assert parser.parse_args([*argv, "--asymptotic"]).use_exact is False
+        assert parser.parse_args(argv).calibration is None
+        assert parser.parse_args([*argv, "--exact"]).calibration is deficits
+        assert parser.parse_args([*argv, "--asymptotic"]).calibration is asymptotic_deficit
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*argv, "--exact", "--asymptotic"])
         assert exc.value.code == 2

@@ -24,7 +24,7 @@ from quantdiff import (
 )
 from quantdiff import region
 from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
-from quantdiff.likelihood import deficits
+from quantdiff.likelihood import asymptotic_deficit, chi2_quantile_1df, deficits
 
 from oracles import (
     best_reachable_score,
@@ -38,8 +38,8 @@ from oracles import (
 GRID_101 = ingest_sample(np.arange(1.0, 102.0))
 
 
-def _spec(q=0.5, alpha=0.05, exact=None):
-    return QuantileSpec(q=q, alpha=alpha, exact=exact)
+def _spec(q=0.5, alpha=0.05, calibration=None):
+    return QuantileSpec(q=q, alpha=alpha, calibration=calibration)
 
 
 def constrained_max_indexes(control, treatment, q, d):
@@ -368,7 +368,7 @@ class TestLRRejections:
         rng = np.random.default_rng(0)
         y_c = np.sort(rng.normal(size=(4, n_c)), axis=1)
         y_t = np.sort(rng.normal(0.3, 1.0, size=(4, 12)), axis=1)
-        spec = _spec(q=0.25, exact=False)
+        spec = _spec(q=0.25, calibration=asymptotic_deficit)
         for d in np.linspace(-2.0, 2.5, 91).tolist():
             rejects = region.lr_rejections(y_c, y_t, spec, d)
             for r in range(4):
@@ -401,7 +401,7 @@ class TestLRTest:
         for d in (0.0, 0.3, 1.0):
             outcomes = {
                 (r.statistic, r.p_value, r.i_star, r.j_star)
-                for r in (lr_test(y_c, y_t, _spec(exact=e), d) for e in (None, True, False))
+                for r in (lr_test(y_c, y_t, _spec(calibration=e), d) for e in (None, deficits, asymptotic_deficit))
             }
             assert len(outcomes) == 1, d
 
@@ -500,8 +500,9 @@ class TestConservativeCI:
             np.sort(rng.integers(0, 5, size=33).astype(float)),
         )
         for y_c, y_t in (continuous, tied):
-            for exact in (True, False):
-                got = conservative_ci(ingest_sample(y_c), ingest_sample(y_t), _spec(exact=exact))
+            for calibration, exact in ((deficits, True), (asymptotic_deficit, False)):
+                spec = _spec(calibration=calibration)
+                got = conservative_ci(ingest_sample(y_c), ingest_sample(y_t), spec)
                 want = full_grid_conservative(y_c, y_t, 0.5, 0.05, exact=exact)
                 assert want is not None
                 assert got.lower == want[0], (len(y_c), exact)
@@ -551,8 +552,8 @@ class TestConservativeCI:
         rng = np.random.default_rng(99)
         y_c = ingest_sample(rng.normal(size=400))
         y_t = ingest_sample(rng.normal(size=400))
-        exact = conservative_ci(y_c, y_t, _spec(exact=True))
-        asym = conservative_ci(y_c, y_t, _spec(exact=False))
+        exact = conservative_ci(y_c, y_t, _spec(calibration=deficits))
+        asym = conservative_ci(y_c, y_t, _spec(calibration=asymptotic_deficit))
         assert asym.width == pytest.approx(exact.width, rel=0.2)
 
 
@@ -571,7 +572,7 @@ def _accepted_cells(grid):
 
 class TestAcceptanceGrid:
     def test_asymptotic_ellipse_101(self):
-        grid = acceptance_grid(101, 101, _spec(exact=False))
+        grid = acceptance_grid(101, 101, _spec(calibration=asymptotic_deficit))
         threshold = 3.8414588206941285
         i, j, h = _cells(grid)
         want_h = (i - 50.5) ** 2 / 25.25 + (j - 50.5) ** 2 / 25.25
@@ -579,36 +580,36 @@ class TestAcceptanceGrid:
         accepted = h < grid.threshold
         assert np.array_equal(accepted, want_h < threshold)
         assert accepted.any()  # ellipse interior is non-trivial
-        assert not grid.exact
+        assert grid.calibration is asymptotic_deficit
 
     def test_near_one_alpha_nearly_empty(self):
-        grid = acceptance_grid(101, 101, _spec(alpha=0.9999, exact=False))
+        grid = acceptance_grid(101, 101, _spec(alpha=0.9999, calibration=asymptotic_deficit))
         for i, j in _accepted_cells(grid):
             assert abs(i - 50.5) < 1.0 and abs(j - 50.5) < 1.0
 
     def test_smallest_case(self):
-        grid = acceptance_grid(1, 1, _spec(exact=True))
+        grid = acceptance_grid(1, 1, _spec(calibration=deficits))
         i, j, h = _cells(grid)
         assert i.ravel().tolist() == [0, 1] and j.tolist() == [0, 1]
         assert np.isfinite(h).all() and (h >= 0.0).all()
 
     @pytest.mark.parametrize(
-        "n_c, n_t, exact, want",
+        "n_c, n_t, calibration, want",
         [
-            (10_000, 7, None, True),
-            (10_001, 7, None, False),
-            (7, 10_001, None, False),
-            (500, 7, False, False),
-            (10_001, 7, True, True),
+            (10_000, 7, None, deficits),
+            (10_001, 7, None, asymptotic_deficit),
+            (7, 10_001, None, asymptotic_deficit),
+            (500, 7, asymptotic_deficit, asymptotic_deficit),
+            (10_001, 7, deficits, deficits),
         ],
     )
-    def test_spec_picks_the_statistic(self, n_c, n_t, exact, want):
+    def test_spec_picks_the_statistic(self, n_c, n_t, calibration, want):
         # None is exact when both samples have at most 10,000 values.
-        assert acceptance_grid(n_c, n_t, _spec(exact=exact)).exact is want
+        assert acceptance_grid(n_c, n_t, _spec(calibration=calibration)).calibration is want
 
     def test_window_covers_all_accepted(self):
         # every accepted cell of the full grid must appear in the window
-        grid = acceptance_grid(30, 30, _spec(q=0.3, exact=True))
+        grid = acceptance_grid(30, 30, _spec(q=0.3, calibration=deficits))
         windowed = _accepted_cells(grid)
         lp_c = st.binom.logpmf(np.arange(31), 30, 0.3)
         thr = st.chi2.isf(0.05, 1)
@@ -629,6 +630,35 @@ class TestAcceptanceGrid:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("n, shared", [(1, True), (10_000, True), (10_001, False)])
+    def test_default_shares_the_region_of_its_calibration(self, n, shared):
+        # conservative_rows reads the default region and lr_rejections the
+        # exact one; up to 10,000 values a coverage block builds it once.
+        default = acceptance_grid(n, n, QuantileSpec(0.3, 0.05))
+        assert (default is acceptance_grid(n, n, QuantileSpec(0.3, 0.05, deficits))) is shared
+        resolved = acceptance_grid(n, n, QuantileSpec(0.3, 0.05, default.calibration))
+        assert resolved is default
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        calibration=hst.sampled_from([deficits, asymptotic_deficit]),
+        n=hst.integers(1, 400),
+        q=hst.one_of(
+            hst.sampled_from([1e-12, 1e-6, 0.001, 0.05, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12]),
+            hst.floats(1e-12, 1 - 1e-12),
+        ),
+        alpha=hst.sampled_from([1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9999]),
+    )
+    def test_window_holds_every_accepted_count(self, calibration, n, q, alpha):
+        # The window is the full scan's slice, bit for bit, and no count
+        # outside it scores below the threshold.
+        threshold = chi2_quantile_1df(alpha)
+        lo, window = region._window_deficits(q, n, threshold, calibration)
+        full = calibration(np.arange(n + 1), q, n)
+        assert window.tobytes() == full[lo : lo + window.size].tobytes()
+        accepted = np.flatnonzero(full < threshold)
+        assert ((lo <= accepted) & (accepted < lo + window.size)).all()
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=hst.integers(0, 2**32 - 1),
@@ -645,7 +675,7 @@ class TestAcceptanceGrid:
         y_c, y_t = rng.normal(size=n_c), rng.normal(size=n_t)
         if rounded:
             y_c, y_t, d = np.round(y_c, 1), np.round(y_t, 1), round(d, 1)
-        spec = _spec(q=q, exact=True)
+        spec = _spec(q=q, calibration=deficits)
         grid = acceptance_grid(n_c, n_t, spec)
         r = lr_test(ingest_sample(y_c), ingest_sample(y_t), spec, d)
         i, j = r.i_star - grid.i_lo, r.j_star - grid.j_lo
@@ -666,14 +696,14 @@ class TestAcceptanceGrid:
     # C pow(x, 2.0) misrounded the scalar square at some of these cells.
     @example(n_c=492, n_t=67, q=0.6344101359849695, alpha=0.1)
     def test_asymptotic_statistic_reads_its_grid_cell(self, n_c, n_t, q, alpha):
-        spec = _spec(q=q, alpha=alpha, exact=False)
+        spec = _spec(q=q, alpha=alpha, calibration=asymptotic_deficit)
         grid = acceptance_grid(n_c, n_t, spec)
         for i, g_c in enumerate(grid.g_c.tolist(), start=grid.i_lo):
             for j, g_t in enumerate(grid.g_t.tolist(), start=grid.j_lo):
                 assert lr_statistic_asymptotic(i, j, spec, n_c, n_t).value == g_c + g_t
 
     def test_csv_export(self):
-        grid = acceptance_grid(3, 3, _spec(exact=True))
+        grid = acceptance_grid(3, 3, _spec(calibration=deficits))
         buf = io.BytesIO()
         write_acceptance_grid_csv(grid, buf)
         lines = buf.getvalue().decode("ascii").splitlines()
@@ -700,11 +730,11 @@ class TestAcceptanceGrid:
         n_t=hst.integers(1, 400),
         q=hst.sampled_from([1e-3, 0.02, 0.5, 0.98, 0.999]),
         alpha=hst.sampled_from([1e-6, 0.05, 0.9999]),
-        exact=hst.sampled_from([True, False, None]),
+        calibration=hst.sampled_from([deficits, asymptotic_deficit, None]),
         cell=hst.integers(0, 2**32),
     )
-    def test_csv_bytes_match_per_cell_writer(self, n_c, n_t, q, alpha, exact, cell):
-        grid = acceptance_grid(n_c, n_t, _spec(q=q, alpha=alpha, exact=exact))
+    def test_csv_bytes_match_per_cell_writer(self, n_c, n_t, q, alpha, calibration, cell):
+        grid = acceptance_grid(n_c, n_t, _spec(q=q, alpha=alpha, calibration=calibration))
         assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
         # With the threshold moved onto one cell's h, that cell must read 0.
         i, j = cell % grid.g_c.size, cell // grid.g_c.size % grid.g_t.size
@@ -712,7 +742,7 @@ class TestAcceptanceGrid:
         assert self._csv(write_acceptance_grid_csv, edge) == self._csv(per_cell_grid_csv, edge)
 
     def test_csv_bytes_match_per_cell_writer_large_asymptotic(self):
-        grid = acceptance_grid(20_000, 30_000, _spec(q=0.9, exact=False))
+        grid = acceptance_grid(20_000, 30_000, _spec(q=0.9, calibration=asymptotic_deficit))
         assert self._csv(write_acceptance_grid_csv, grid) == self._csv(per_cell_grid_csv, grid)
 
     # Shapes on each side of the writer's chunk of 4,096 cells: many rows
@@ -722,14 +752,14 @@ class TestAcceptanceGrid:
         # Real grids keep h below ~50; these deficits span 1e-6..1e10 with
         # exact zeros, so their cells reach exponent notation and h >= 1e9.
         rng = np.random.default_rng(n_i * n_j)
-        grid = acceptance_grid(101, 101, _spec(exact=True))
+        grid = acceptance_grid(101, 101, _spec(calibration=deficits))
 
-        def deficits(n):
+        def spread(n):
             g = 10 ** rng.uniform(-6, 10, n)
             g[rng.random(n) < 0.1] = 0.0
             return g
 
-        synthetic = dataclasses.replace(grid, g_c=deficits(n_i), g_t=deficits(n_j))
+        synthetic = dataclasses.replace(grid, g_c=spread(n_i), g_t=spread(n_j))
         assert self._csv(write_acceptance_grid_csv, synthetic) == self._csv(per_cell_grid_csv, synthetic)
 
     def test_csv_export_memory_stays_bounded(self):
