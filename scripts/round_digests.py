@@ -7,7 +7,8 @@ Each distinct call of the round runs once as ``python -m quantdiff.cli``
 under the caller's PYTHONPATH. The round's simulate call runs once more at
 ``--jobs 2``, and each ``ci`` and ``region`` call once more with ``--exact``
 and once more with ``--asymptotic``, labelled ``<label>-exact`` and
-``<label>-asymptotic``. Each line is ``sha256 label``. Two checkouts give
+``<label>-asymptotic``, and each ``ci`` call once more with ``--format csv``,
+labelled ``<label>-csv``. Each line is ``sha256 label``. Two checkouts give
 bit-identical outputs when their lines are the same.
 """
 
@@ -39,6 +40,8 @@ def main() -> None:
     for op in {op.label: op for op in plan.ops if op.kind in ("ci", "region")}.values():
         for flag in ("exact", "asymptotic"):
             calls[f"{op.label}-{flag}"] = [*op.args, f"--{flag}"]
+        if op.kind == "ci":
+            calls[f"{op.label}-csv"] = [*op.args, "--format", "csv"]
     for label, call in calls.items():
         out = os.path.join(args.out, f"{label}.out")
         subprocess.run([sys.executable, "-m", "quantdiff.cli", *call, "--output", out], check=True)

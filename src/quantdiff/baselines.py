@@ -36,20 +36,17 @@ from .errors import InsufficientSampleError
 from .likelihood import two_sided_z
 
 
-def _one_sample_indexes(n: int, spec: QuantileSpec):
+def _one_sample_rows(y: np.ndarray, spec: QuantileSpec):
+    """The one-sample lower bound, upper bound and point estimate of each row of a
+    sorted block, and whether an index was clamped into [1, n]; one index pair for all rows."""
+    n = y.shape[1]
     halfwidth = two_sided_z(spec.alpha) * math.sqrt(n * spec.q * (1.0 - spec.q))
     lo_idx, hi_idx, clamped = outward_index_bounds(n * spec.q, halfwidth, n)
     if lo_idx == hi_idx:
         raise InsufficientSampleError(
             f"one-sample index interval collapsed (n={n}, q={spec.q}, alpha={spec.alpha})"
         )
-    return lo_idx, hi_idx, clamped
-
-
-def _one_sample_rows(y: np.ndarray, spec: QuantileSpec):
-    """One-sample lower and upper bounds of each row of a sorted block, and the clamp."""
-    lo_idx, hi_idx, clamped = _one_sample_indexes(y.shape[1], spec)
-    return y[:, lo_idx - 1], y[:, hi_idx - 1], clamped
+    return y[:, lo_idx - 1], y[:, hi_idx - 1], point_estimates(y, spec.q), clamped
 
 
 def _root_sum_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,13 +64,12 @@ def _interval_rows(lower, upper, clamped: bool) -> IntervalRows:
 def price_bonnet_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`price_bonnet_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
     z = two_sided_z(spec.alpha)
-    lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
-    lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
-    diff = point_estimates(y_t, spec.q) - point_estimates(y_c, spec.q)
+    lower_c, upper_c, tau_c, clamped_c = _one_sample_rows(y_c, spec)
+    lower_t, upper_t, tau_t, clamped_t = _one_sample_rows(y_t, spec)
+    diff = tau_t - tau_c
     sd_c, sd_t = (upper_c - lower_c) / (2.0 * z), (upper_t - lower_t) / (2.0 * z)
     halfwidth = z * _root_sum_square(sd_t, sd_c)
-    clamped = clamped_c or clamped_t
-    return _interval_rows(diff - halfwidth, diff + halfwidth, clamped)
+    return _interval_rows(diff - halfwidth, diff + halfwidth, clamped_c or clamped_t)
 
 
 def price_bonnet_ci(
@@ -90,10 +86,8 @@ def price_bonnet_ci(
 @quiet_overflow
 def donner_zou_rows(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec) -> IntervalRows:
     """:func:`donner_zou_ci` for each row pair of sorted (R, n_c) and (R, n_t) blocks."""
-    lower_c, upper_c, clamped_c = _one_sample_rows(y_c, spec)
-    lower_t, upper_t, clamped_t = _one_sample_rows(y_t, spec)
-    tau_c = point_estimates(y_c, spec.q)
-    tau_t = point_estimates(y_t, spec.q)
+    lower_c, upper_c, tau_c, clamped_c = _one_sample_rows(y_c, spec)
+    lower_t, upper_t, tau_t, clamped_t = _one_sample_rows(y_t, spec)
     diff = tau_t - tau_c
     upper = diff + _root_sum_square(upper_t - tau_t, tau_c - lower_c)
     lower = diff - _root_sum_square(tau_t - lower_t, upper_c - tau_c)

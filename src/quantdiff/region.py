@@ -127,22 +127,23 @@ def _shifted(y_t: np.ndarray, d: float) -> np.ndarray:
     return t
 
 
-def _best_pairs(search, lo, hi, mode, g_c, g_t, j_lo):
-    """The first least g_c(i) + g_t(j) of each control count i, and its j.
+def _best_pairs(search, y, i, g_c, mode, g_t, j_lo):
+    """The first least g_c(i) + g_t(j) of each control count i of sorted y, and its j.
 
-    The tau-interval [lo, hi) = [y_c(i), y_c(i + 1)) of i, empty at a tie,
-    reaches #{t <= lo} and the tie-block ends of t up to #{t < hi}, as
-    ``search(keys, side)`` counts them. g_t is unimodal, least at k_t (and
-    at k_t - 1 when q(n_t + 1) is an integer), so the best is an end of the
-    tie block holding ``mode`` = t(k_t), #{t < mode} or #{t <= mode},
+    The tau-interval [y(i), y(i + 1)) of i, empty at a tie (scored +inf),
+    reaches #{t <= y(i)} and the tie-block ends of t up to #{t < y(i + 1)},
+    as ``search(keys, side)`` counts them. g_t is unimodal, least at k_t
+    (and at k_t - 1 when q(n_t + 1) is an integer), so the best is an end
+    of the tie block holding ``mode`` = t(k_t), #{t < mode} or #{t <= mode},
     clipped into that range. Sums are compared, not g_t: a large g_c can
-    round two g_t into one sum. g_t starts at count j_lo; outside it, and
-    on an empty interval, the score is +inf.
+    round two g_t into one sum. g_t starts at count j_lo, and a j past it
+    reads its end: in :func:`lr_test` no j leaves the span's window, and in
+    :func:`lr_rejections` an end short of count 0 or n scores >= threshold.
     """
+    lo, hi = _order_stats(y, i), _order_stats(y, i + 1)
     ends = np.stack([search(mode, "left"), search(mode, "right")])
     j = np.clip(ends, search(lo, "right"), search(hi, "left"))
-    g_t = np.concatenate([[math.inf], g_t, [math.inf]])
-    score = np.where(lo < hi, g_c + g_t[np.clip(j - j_lo + 1, 0, g_t.size - 1)], math.inf)
+    score = np.where(lo < hi, g_c + g_t[np.clip(j - j_lo, 0, g_t.size - 1)], math.inf)
     second = score[1] < score[0]
     return np.where(second, score[1], score[0]), np.where(second, j[1], j[0])
 
@@ -165,8 +166,8 @@ def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float
     def accepts(y: np.ndarray, r: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Whether control rows y, the block's rows r, each accept at some count of i."""
         search = functools.partial(_searchsorted_rows, t, r[:, None])
-        lo, hi, g_c = _order_stats(y, i), _order_stats(y, i + 1), region.g_c[i - region.i_lo]
-        score, _ = _best_pairs(search, lo, hi, mode[r], g_c, region.g_t, region.j_lo)
+        g_c = region.g_c[i - region.i_lo]
+        score, _ = _best_pairs(search, y, i, g_c, mode[r], region.g_t, region.j_lo)
         return (score < region.threshold).any(axis=1)
 
     rows = np.arange(len(y_c))
@@ -203,10 +204,9 @@ def lr_test(
     lo_t, hi_t = _order_stats(t, np.array([k_t, k_t + 1]))
     span_lo, span_hi = min(lo_c, lo_t), max(hi_c, hi_t)
     i = np.arange(y_c.searchsorted(span_lo), y_c.searchsorted(span_hi, "right") + 1)
-    j_lo = t.searchsorted(span_lo)
+    j_lo, g_c = t.searchsorted(span_lo), deficits(i, q, y_c.size)
     g_t = deficits(np.arange(j_lo, t.searchsorted(span_hi, "right") + 1), q, t.size)
-    lo, hi, g_c = _order_stats(y_c, i), _order_stats(y_c, i + 1), deficits(i, q, y_c.size)
-    score, j = _best_pairs(t.searchsorted, lo, hi, np.array([lo_t]), g_c, g_t, j_lo)
+    score, j = _best_pairs(t.searchsorted, y_c, i, g_c, np.array([lo_t]), g_t, j_lo)
     best = int(np.argmin(score))
     statistic = float(score[best])
     return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))
@@ -264,8 +264,11 @@ def acceptance_grid(n_c: int, n_t: int, spec: QuantileSpec) -> AcceptanceGrid:
     statistic, approximately under the exact one). A None calibration is
     :func:`deficits` when both samples have at most 10,000 values, else
     :func:`asymptotic_deficit`, and shares that calibration's grid: equal
-    keys return the same read-only grid.
+    keys return the same read-only grid. Any other calibration raises
+    :class:`DomainError`.
     """
+    if all(spec.calibration is not c for c in (None, deficits, asymptotic_deficit)):
+        raise DomainError(f"calibration {spec.calibration!r} is not deficits or asymptotic_deficit")
     _check_sizes(n_c, n_t)
     default = deficits if max(n_c, n_t) <= 10_000 else asymptotic_deficit
     calibration = default if spec.calibration is None else spec.calibration

@@ -106,7 +106,7 @@ def test_lower_never_above_upper(seed, rows, n_c, n_t, kind, exponent, q, alpha)
         assert (got.lower[finite] <= got.upper[finite]).all(), method
     for y in (y_c, y_t):
         try:
-            lower, upper, clamped = _one_sample_rows(y, spec)
+            lower, upper, _, clamped = _one_sample_rows(y, spec)
         except EstimationError:
             continue
         assert (lower <= upper).all()

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,12 @@ from quantdiff import (
     write_acceptance_grid_csv,
 )
 from quantdiff import region
-from quantdiff.errors import DegenerateRegionError, NumericOverflowError, ValidationError
+from quantdiff.errors import (
+    DegenerateRegionError,
+    DomainError,
+    NumericOverflowError,
+    ValidationError,
+)
 from quantdiff.likelihood import asymptotic_deficit, chi2_quantile_1df, deficits
 
 from oracles import (
@@ -288,7 +294,7 @@ def test_best_pairs_is_the_first_least_sum_of_each_control_count(seed, n_c, n_t,
     g_c, g_t = deficits(i, q, n_c), deficits(np.arange(n_t + 1), q, n_t)
     mode = region._order_stats(t, np.array([max_likelihood_index(q, n_t)]))
     lo, hi = region._order_stats(y_c, i), region._order_stats(y_c, i + 1)
-    score, j = region._best_pairs(t.searchsorted, lo, hi, mode, g_c, g_t, 0)
+    score, j = region._best_pairs(t.searchsorted, y_c, i, g_c, mode, g_t, 0)
     pairs = reachable_pairs(y_c, y_t, d)
     for count in i.tolist():
         js = [pj for pi, pj in pairs if pi == count]
@@ -607,6 +613,16 @@ class TestAcceptanceGrid:
         # None is exact when both samples have at most 10,000 values.
         assert acceptance_grid(n_c, n_t, _spec(calibration=calibration)).calibration is want
 
+    @pytest.mark.parametrize("calibration", [True, False, "exact", [1]])
+    def test_rejects_a_calibration_that_is_not_a_deficit(self, calibration):
+        # An old boolean spelling, a name or an unhashable value is a
+        # DomainError (exit 2), not a TypeError from calling it.
+        spec = _spec(calibration=calibration)
+        with pytest.raises(DomainError, match=re.escape(f"calibration {calibration!r} ")):
+            acceptance_grid(20, 20, spec)
+        with pytest.raises(DomainError, match=re.escape(f"calibration {calibration!r} ")):
+            conservative_ci(GRID_101, GRID_101, spec)
+
     def test_window_covers_all_accepted(self):
         # every accepted cell of the full grid must appear in the window
         grid = acceptance_grid(30, 30, _spec(q=0.3, calibration=deficits))
@@ -658,6 +674,10 @@ class TestAcceptanceGrid:
         assert window.tobytes() == full[lo : lo + window.size].tobytes()
         accepted = np.flatnonzero(full < threshold)
         assert ((lo <= accepted) & (accepted < lo + window.size)).all()
+        # An edge short of count 0 or n rejects, so a count past the window
+        # may read its edge in place of +inf (region._best_pairs does).
+        edges = {lo: window[0], lo + window.size - 1: window[-1]}
+        assert all(g >= threshold for k, g in edges.items() if k not in (0, n))
 
     @settings(max_examples=200, deadline=None)
     @given(
