@@ -8,8 +8,12 @@ under the caller's PYTHONPATH. The round's simulate call runs once more at
 ``--jobs 2``, and each ``ci`` and ``region`` call once more with ``--exact``
 and once more with ``--asymptotic``, labelled ``<label>-exact`` and
 ``<label>-asymptotic``, and each ``ci`` call once more with ``--format csv``,
-labelled ``<label>-csv``. Each line is ``sha256 label``. Two checkouts give
-bit-identical outputs when their lines are the same.
+labelled ``<label>-csv``. The parser's texts follow, with ``COLUMNS=80``:
+the top-level ``--help`` (label ``help``), each subcommand's ``--help``
+(``<command>-help``) and each bare subcommand, a usage error
+(``<command>-usage``); each is digested as its stdout, stderr and exit
+code. Each line is ``sha256 label``. Two checkouts give bit-identical
+outputs when their lines are the same.
 """
 
 from __future__ import annotations
@@ -47,6 +51,15 @@ def main() -> None:
         subprocess.run([sys.executable, "-m", "quantdiff.cli", *call, "--output", out], check=True)
         with open(out, "rb") as fh:
             print(hashlib.sha256(fh.read()).hexdigest(), label)
+    texts = {"help": ["--help"]}
+    for command in ("ci", "test", "region", "simulate"):
+        texts[f"{command}-help"] = [command, "--help"]
+        texts[f"{command}-usage"] = [command]
+    for label, call in texts.items():
+        proc = subprocess.run([sys.executable, "-m", "quantdiff.cli", *call], capture_output=True,
+                              env={**os.environ, "COLUMNS": "80"})
+        text = b"\0".join([proc.stdout, proc.stderr, str(proc.returncode).encode()])
+        print(hashlib.sha256(text).hexdigest(), label)
 
 
 if __name__ == "__main__":

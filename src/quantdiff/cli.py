@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
 from typing import IO, Iterator
@@ -67,59 +66,78 @@ def _add_output_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_ci_args(sub: argparse.ArgumentParser) -> None:
+    _add_sample_args(sub)
+    _add_quantile_args(sub)
+    sub.add_argument(
+        "--methods",
+        default="all",
+        help="comma-separated method tags or 'all' "
+        f"(choices: {', '.join(m.value for m in TWO_SAMPLE_METHODS)})",
+    )
+    _add_mode_args(sub)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_output_arg(sub)
+    sub.set_defaults(func=cmd_ci)
+
+
+def _add_test_args(sub: argparse.ArgumentParser) -> None:
+    _add_sample_args(sub)
+    _add_quantile_args(sub)
+    sub.add_argument("--d", type=float, required=True, help="hypothesized difference")
+    _add_output_arg(sub)
+    sub.set_defaults(func=cmd_test)
+
+
+def _add_region_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--control", help="control sample CSV (sizes read from data)")
+    sub.add_argument("--treatment", help="treatment sample CSV")
+    sub.add_argument("--header", action="store_true", help="skip the first line of each file")
+    sub.add_argument("--n-c", type=int, help="control sample size (alternative to --control)")
+    sub.add_argument("--n-t", type=int, help="treatment sample size")
+    _add_quantile_args(sub)
+    _add_mode_args(sub)
+    _add_output_arg(sub)
+    sub.set_defaults(func=cmd_region)
+
+
+def _add_simulate_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dist-c", default="normal(0,1)", help="control distribution, e.g. lognormal(0,1)")
+    sub.add_argument("--dist-t", default="normal(0,1)", help="treatment distribution")
+    sub.add_argument("--n-c", type=int, default=500)
+    sub.add_argument("--n-t", type=int, default=500)
+    _add_quantile_args(sub)
+    sub.add_argument("--replications", type=int, default=5000)
+    sub.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
+    sub.add_argument("--methods", default="all")
+    sub.add_argument("--jobs", type=int, default=1, help="worker processes (output is identical)")
+    _add_output_arg(sub)
+    sub.set_defaults(func=cmd_simulate)
+
+
+_COMMANDS = {
+    "ci": ("confidence intervals for the quantile difference", _add_ci_args),
+    "test": ("LR test of a hypothesized quantile difference", _add_test_args),
+    "region": ("export the acceptance-region grid as CSV", _add_region_args),
+    "simulate": ("run a seeded Monte Carlo coverage study", _add_simulate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given ``command``, only that subcommand gets its arguments.
+
+    Every subcommand is listed either way, so help and usage errors keep their bytes.
+    """
     parser = argparse.ArgumentParser(
         prog="quantdiff",
         description="Difference-in-quantile tests and confidence intervals.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ci = sub.add_parser("ci", help="confidence intervals for the quantile difference")
-    _add_sample_args(p_ci)
-    _add_quantile_args(p_ci)
-    p_ci.add_argument(
-        "--methods",
-        default="all",
-        help="comma-separated method tags or 'all' "
-        f"(choices: {', '.join(m.value for m in TWO_SAMPLE_METHODS)})",
-    )
-    _add_mode_args(p_ci)
-    p_ci.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_output_arg(p_ci)
-    p_ci.set_defaults(func=cmd_ci)
-
-    p_test = sub.add_parser("test", help="LR test of a hypothesized quantile difference")
-    _add_sample_args(p_test)
-    _add_quantile_args(p_test)
-    p_test.add_argument("--d", type=float, required=True, help="hypothesized difference")
-    _add_output_arg(p_test)
-    p_test.set_defaults(func=cmd_test)
-
-    p_region = sub.add_parser("region", help="export the acceptance-region grid as CSV")
-    p_region.add_argument("--control", help="control sample CSV (sizes read from data)")
-    p_region.add_argument("--treatment", help="treatment sample CSV")
-    p_region.add_argument("--header", action="store_true", help="skip the first line of each file")
-    p_region.add_argument("--n-c", type=int, help="control sample size (alternative to --control)")
-    p_region.add_argument("--n-t", type=int, help="treatment sample size")
-    _add_quantile_args(p_region)
-    _add_mode_args(p_region)
-    _add_output_arg(p_region)
-    p_region.set_defaults(func=cmd_region)
-
-    p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo coverage study")
-    p_sim.add_argument("--dist-c", default="normal(0,1)", help="control distribution, e.g. lognormal(0,1)")
-    p_sim.add_argument("--dist-t", default="normal(0,1)", help="treatment distribution")
-    p_sim.add_argument("--n-c", type=int, default=500)
-    p_sim.add_argument("--n-t", type=int, default=500)
-    _add_quantile_args(p_sim)
-    p_sim.add_argument("--replications", type=int, default=5000)
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
-    p_sim.add_argument("--methods", default="all")
-    p_sim.add_argument("--jobs", type=int, default=1, help="worker processes (output is identical)")
-    _add_output_arg(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    for name, (help_text, add_args) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_args(sub_parser)
     return parser
 
 
@@ -142,6 +160,8 @@ def _load_samples(args: argparse.Namespace) -> tuple[OrderedSample, OrderedSampl
 
 
 def cmd_ci(args: argparse.Namespace) -> int:
+    import json  # here, not at the top, so region, simulate and `import quantdiff.cli` skip it
+
     control, treatment = _load_samples(args)
     spec = QuantileSpec(args.q, args.alpha, args.calibration)
     methods = select_methods(args.methods)
@@ -177,6 +197,8 @@ def cmd_ci(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    import json
+
     control, treatment = _load_samples(args)
     spec = QuantileSpec(args.q, args.alpha)
     result = lr_test(control, treatment, spec, args.d)
@@ -245,8 +267,10 @@ def _join_shift(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_shift(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes only flags, so a first token naming a subcommand is it.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(_join_shift(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -763,3 +763,45 @@ class TestSimulate:
         assert main(args + ["--jobs", "2", "--output", str(out4)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
+
+
+class TestParser:
+    SAMPLES = ["--control", "c.csv", "--treatment", "t.csv", "--q", "0.5"]
+    ARGVS = [
+        ["--help"],
+        ["--version"],
+        [],
+        ["bogus"],
+        *([command, "--help"] for command in ("ci", "test", "region", "simulate")),
+        ["ci", "--control", "c.csv", "--q", "0.5"],
+        ["test", *SAMPLES],
+        ["region", "--n-c", "5", "--n-t", "5"],
+        ["simulate", "--n-c", "5"],
+        ["ci", *SAMPLES, "--exact", "--asymptotic"],
+        ["region", "--n-c", "5", "--n-t", "5", "--q", "0.5", "--exact", "--asymptotic"],
+        ["simulate", "--q", "0.5", "--jobs", "x"],
+        ["ci", *SAMPLES, "--exact", "--format", "csv"],
+        ["test", *SAMPLES, "--d=-1e-3"],
+        ["region", "--n-c", "5", "--n-t", "5", "--q", "0.5", "--asymptotic"],
+        ["simulate", "--q", "0.5", "--jobs", "2"],
+    ]
+
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        captured = capsys.readouterr()
+        return args, captured.out, captured.err, code
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_one_command_parser_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # A parser built for one command still lists every command, so each
+        # argv reads the same, byte for byte, whichever command main passes.
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self._parse(build_parser(), argv, capsys)
+        assert want[3] in (None, 0, 2)
+        commands = ("ci", "test", "region", "simulate")
+        for command in argv[:1] if argv[:1] and argv[0] in commands else commands:
+            assert self._parse(build_parser(command), argv, capsys) == want, command

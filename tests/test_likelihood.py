@@ -239,6 +239,41 @@ class TestNormalQuantile:
             with pytest.raises(DomainError):
                 normal_quantile(p)
 
+    def test_bits_equal_the_standard_library(self):
+        # normal_quantile is CPython's AS241 transcribed; only this test
+        # imports statistics, to hold the two to the same bits.
+        import statistics
+
+        rng = np.random.default_rng(20241)
+        edges = [0.075, 0.425, 0.5, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+        neighbours = []
+        for edge in edges:
+            p = edge
+            for _ in range(200):
+                p = math.nextafter(p, 0.0)
+            for _ in range(401):
+                neighbours.append(p)
+                p = math.nextafter(p, 1.0)
+        ps = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0, 400_000),
+                10.0 ** -rng.uniform(0.0, 323.3, 400_000),
+                1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 200_000),
+                [5e-324, 1.0 - 1e-16, 1.0 - 2.0**-53],
+                neighbours,
+            ]
+        )
+        ps = ps[(ps > 0.0) & (ps < 1.0)].tolist()
+        assert len(ps) >= 1_000_000
+        got = np.array(list(map(normal_quantile, ps)))
+        want = np.array(list(map(statistics.NormalDist().inv_cdf, ps)))
+        mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert mismatched.size == 0, [(ps[k], got[k], want[k]) for k in mismatched[:5]]
+
+        for alpha in np.logspace(-300, math.log10(0.2), 400).tolist():
+            z = -statistics.NormalDist().inv_cdf(alpha / 2.0)
+            assert chi2_quantile_1df(alpha).hex() == (z * z).hex(), alpha
+
 
 class TestChiSquare1df:
     @pytest.mark.parametrize(

@@ -401,6 +401,21 @@ class TestRunCoverageStudy:
         # when a study first draws, so ci, test and region never pay for it.
         assert self._modules_after_cli_import(["numpy.random"]) == "[]\n"
 
+    def test_cli_import_leaves_out_statistics(self):
+        # The normal quantile is computed in likelihood, so no process loads
+        # statistics and, through it, fractions and decimal.
+        modules = ["statistics", "_statistics", "fractions", "decimal", "_decimal"]
+        assert self._modules_after_cli_import(modules) == "[]\n"
+
+    def test_region_and_simulate_leave_out_json(self, tmp_path):
+        # Only ci and test print JSON.
+        output = ["--output", str(tmp_path / "out")]
+        for argv in (
+            ["region", "--n-c", "5", "--n-t", "5", "--q", "0.5", *output],
+            ["simulate", "--n-c", "5", "--n-t", "5", "--q", "0.5", "--replications", "2", *output],
+        ):
+            assert self._modules_after_cli_import(["json"], argv) == "[]\n", argv
+
     def test_ci_test_and_region_leave_out_numpy_random_and_ma(self, tmp_path):
         # A cold call pays 10-15 ms to import numpy.random and 15-25 ms for
         # numpy.ma, which np.unique loads unless it returns the inverse.
