@@ -8,6 +8,12 @@ requested inference, 4 when an internal consistency check fails (a bug;
 the message asks for a report), 141 (128 + SIGPIPE, as a shell reports for
 a killed writer) when the reader of stdout closes the pipe early; nothing
 is printed then.
+
+Importing this module calls ``gc.freeze()``: the collector no longer walks
+the objects that exist at that moment (numpy, the standard library and the
+package), which a command keeps until it exits. A program that imports
+``quantdiff.cli`` and wants them collected again calls ``gc.unfreeze()``;
+``import quantdiff`` alone leaves the collector as it is.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import os
 import sys
 from typing import IO, Iterator
@@ -288,6 +295,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal error (please report): {exc}", file=sys.stderr)
         return 4
 
+
+# Everything imported so far lives until the command exits, so neither a
+# collection during main nor the interpreter's collections at shutdown
+# should walk it; at exit those walks took about 15 ms per process.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -160,9 +160,11 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     """Read a one-value-per-line CSV file into an :class:`OrderedSample`.
 
     ``source`` may be a path, ``"-"`` for stdin, or an open text stream;
-    paths are read as UTF-8. A value line holds one number in any spelling
-    Python's ``float`` accepts, with surrounding whitespace allowed; blank
-    lines are skipped, and ``skip_header`` drops line 1 whatever it holds.
+    paths are read as UTF-8. One byte-order mark at the start of the input
+    is dropped, as Excel's "CSV UTF-8" export writes one; anywhere else it
+    is an error. A value line holds one number in any spelling Python's
+    ``float`` accepts, with surrounding whitespace allowed; blank lines are
+    skipped, and ``skip_header`` drops line 1 whatever it holds.
 
     numpy's C reader parses the input first. When it fails, or reads
     anything but one column of finite values, the per-line parser reads
@@ -180,7 +182,7 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     try:
         if stream is not None:
             return _read_buffered(stream, name, skip_header)
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             path = _loadtxt_path(fh)
             if path is None:
                 return _read_buffered(fh, name, skip_header)
@@ -213,9 +215,12 @@ def _read_buffered(stream: IO[str], name: str, skip_header: bool) -> OrderedSamp
     """Read a stream once; both parsers work on the buffered text.
 
     Lines of the buffered text end at a line feed: ``sys.stdin`` has
-    already translated CR LF and a lone CR when it is read.
+    already translated CR LF and a lone CR when it is read. A leading
+    byte-order mark is dropped unless the decoder has dropped it already.
     """
     text = stream.read()
+    if getattr(stream, "encoding", None) != "utf-8-sig":
+        text = text.removeprefix("\ufeff")
     values = _load_column(io.StringIO(text), skip_header)
     if values is None:
         return _parse_value_lines(io.StringIO(text), name, skip_header)
@@ -237,7 +242,7 @@ def _load_column(source: str | IO[str], skip_header: bool) -> np.ndarray | None:
                 comments=None,
                 ndmin=2,
                 skiprows=int(skip_header),
-                encoding="utf-8",
+                encoding="utf-8-sig",
             )
     except ValueError:  # UnicodeDecodeError included
         return None

@@ -261,7 +261,8 @@ def per_line_sample_csv(source, skip_header: bool = False) -> np.ndarray:
 
     The reference for ``read_sample_csv``: ``source`` is a path, ``"-"``
     for stdin, or a text stream; the lines are iterated as the stream
-    yields them, and each error carries the library's type and message.
+    yields them, one byte-order mark is dropped from the start of line 1,
+    and each error carries the library's type and message.
     """
     if isinstance(source, str):
         if source == "-":
@@ -276,6 +277,8 @@ def _per_line_values(lines, name: str, skip_header: bool) -> np.ndarray:
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 and skip_header:
             continue
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         text = line.strip()
         if not text:
             continue

@@ -283,6 +283,20 @@ class TestCI:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad}: not valid UTF-8: ")
 
+    def test_byte_order_mark_accepted_on_a_file_and_on_stdin(self, capsys, monkeypatch, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"1.5\n2.5\n")
+        bom.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n")
+        treatment = tmp_path / "t.csv"
+        treatment.write_text("1\n2\n3\n")
+        args = ["--treatment", str(treatment), "--q", "0.5", "--methods", "price_bonnet"]
+        want = _run(capsys, ["ci", "--control", str(plain), *args])
+        assert want[0] == 0
+        assert _run(capsys, ["ci", "--control", str(bom), *args]) == want
+        stdin = io.TextIOWrapper(io.BytesIO(bom.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert _run(capsys, ["ci", "--control", "-", *args]) == want
+
     def test_overflowing_squares_exit_3_naming_method(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
         paths = []

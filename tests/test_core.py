@@ -209,6 +209,33 @@ class TestReadSampleCsv:
         with pytest.raises(ValidationError, match=r"x\.csv: not valid UTF-8: "):
             read_sample_csv(str(p))
 
+    @pytest.mark.parametrize("skip_header", [False, True])
+    def test_byte_order_mark_dropped_from_a_file(self, tmp_path, skip_header):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + (b"value\n" if skip_header else b"") + b"2.5\n1.5\n")
+        assert list(read_sample_csv(str(p), skip_header).values) == [1.5, 2.5]
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"1.5\n\xef\xbb\xbf2.5\n", 2), (b"\xef\xbb\xbf\xef\xbb\xbf1.5\n2.5\n", 1)],
+        ids=["mid-file", "second-at-start"],
+    )
+    def test_byte_order_mark_elsewhere_is_an_error(self, tmp_path, monkeypatch, data, line):
+        p = tmp_path / "x.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError, match=rf"x\.csv:{line}: not a number: '\\ufeff"):
+            read_sample_csv(str(p))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        with pytest.raises(ValidationError, match=rf"<stdin>:{line}: not a number: '\\ufeff"):
+            read_sample_csv("-")
+
+    def test_invalid_utf8_after_a_byte_order_mark_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"\xef\xbb\xbf1\n2\xff\n")
+        with pytest.raises(ValidationError, match=r"x\.csv: not valid UTF-8: "):
+            read_sample_csv(str(p))
+
 
 # What a sample file may hold: Python float spellings, numpy-only and
 # float-only ones, whitespace that str.strip() removes but a file iterator
@@ -280,6 +307,10 @@ class TestReadSampleCsvMatchesPerLineParser:
     @example(text="-0.0\n0.0\n-0\n0\n", skip_header=False, mode="stream")
     @example(text="1\n\n1e400\n", skip_header=False, mode="path")
     @example(text="\ufeff1\n2\n", skip_header=False, mode="path")
+    @example(text="\ufeff1\n2\n", skip_header=False, mode="stdin")
+    @example(text="\ufeff\ufeff1\n2\n", skip_header=False, mode="stream")
+    @example(text="\ufeffvalue\n2\n", skip_header=True, mode="path")
+    @example(text="1\n\ufeff2\n", skip_header=False, mode="path")
     @example(text="1\r2\n", skip_header=False, mode="stream")
     @example(text="h\r2\n3\n", skip_header=True, mode="stream")
     @example(text=" \t\n\x85\n\u2028\n", skip_header=False, mode="stdin")
@@ -299,6 +330,8 @@ class TestReadSampleCsvFromPipe:
     @example(text="value\n3\n1_000\n\u0661\n", skip_header=True)
     @example(text="1\n\nx\n", skip_header=False)
     @example(text="1\r2\n1e400\n", skip_header=False)
+    @example(text="\ufeff1\n2\n", skip_header=False)
+    @example(text="\ufeff\ufeff1\n2\n", skip_header=False)
     @example(text="", skip_header=False)
     def test_same_sample_and_errors_as_the_regular_file(self, tmp_path, text, skip_header):
         # One path, first a regular file and then a named pipe, so the

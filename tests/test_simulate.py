@@ -372,16 +372,9 @@ class TestRunCoverageStudy:
             run_coverage_study(_scenario(replications=2), [Method.LR_TWO_STEP], jobs=0)
 
     @staticmethod
-    def _modules_after_cli_import(packages, argv=None):
-        """The loaded modules of the packages, after a fresh ``import
-        quantdiff.cli`` and, given ``argv``, a ``main(argv)`` that exits 0."""
+    def _fresh_python(code):
+        """What ``code`` prints in a fresh interpreter that imports quantdiff from src."""
         src = Path(simulate.__file__).resolve().parents[1]
-        dotted = tuple(f"{p}." for p in packages)
-        code = (
-            "import sys, quantdiff.cli; "
-            + (f"assert quantdiff.cli.main({argv!r}) == 0; " if argv else "")
-            + f"print(sorted(m for m in sys.modules if (m + '.').startswith({dotted!r})))"
-        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": str(src)},
@@ -390,6 +383,24 @@ class TestRunCoverageStudy:
             check=True,
         )
         return out.stdout
+
+    @classmethod
+    def _modules_after_cli_import(cls, packages, argv=None):
+        """The loaded modules of the packages, after a fresh ``import
+        quantdiff.cli`` and, given ``argv``, a ``main(argv)`` that exits 0."""
+        dotted = tuple(f"{p}." for p in packages)
+        return cls._fresh_python(
+            "import sys, quantdiff.cli; "
+            + (f"assert quantdiff.cli.main({argv!r}) == 0; " if argv else "")
+            + f"print(sorted(m for m in sys.modules if (m + '.').startswith({dotted!r})))"
+        )
+
+    def test_only_the_cli_import_freezes_the_collector(self):
+        # A command keeps its imports until exit, so the cli takes them out
+        # of the collector's walks; a program importing the library does not.
+        freeze_count = "import gc, {}; print(gc.get_freeze_count())"
+        assert int(self._fresh_python(freeze_count.format("quantdiff.cli"))) > 0
+        assert int(self._fresh_python(freeze_count.format("quantdiff"))) == 0
 
     def test_cli_import_leaves_out_the_process_pool(self):
         # Only a study with more than one worker needs concurrent.futures
