@@ -8,7 +8,11 @@ under the caller's PYTHONPATH. The round's simulate call runs once more at
 ``--jobs 2``, and each ``ci`` and ``region`` call once more with ``--exact``
 and once more with ``--asymptotic``, labelled ``<label>-exact`` and
 ``<label>-asymptotic``, and each ``ci`` call once more with ``--format csv``,
-labelled ``<label>-csv``. The parser's texts follow, with ``COLUMNS=80``:
+labelled ``<label>-csv``. Each ``ci`` and ``test`` call runs once more with
+``--control -`` and the control file on stdin (``<label>-stdin``). A small
+simulate then runs for each pair of families that holds an exponential or a
+uniform arm, which no round draws (``family-<control>-<treatment>``). The
+parser's texts follow, with ``COLUMNS=80``:
 the top-level ``--help`` (label ``help``), each subcommand's ``--help``
 (``<command>-help``) and each bare subcommand, a usage error
 (``<command>-usage``); each is digested as its stdout, stderr and exit
@@ -28,6 +32,12 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402
 
+# One law per family, and the pairs the family-<c>-<t> simulates draw.
+LAWS = {"normal": "normal(0,1)", "lognormal": "lognormal(0,0.5)",
+        "exponential": "exponential(2)", "uniform": "uniform(-1,3)"}
+FAMILY_PAIRS = [(c, t) for i, c in enumerate(LAWS) for t in list(LAWS)[i:]
+                if "exponential" in (c, t) or "uniform" in (c, t)]
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description="Print a sha256 of each output of a round.")
@@ -46,9 +56,21 @@ def main() -> None:
             calls[f"{op.label}-{flag}"] = [*op.args, f"--{flag}"]
         if op.kind == "ci":
             calls[f"{op.label}-csv"] = [*op.args, "--format", "csv"]
+    stdin = {}
+    for op in {op.label: op for op in plan.ops if op.kind in ("ci", "test")}.values():
+        call = list(op.args)
+        control = call.index("--control") + 1
+        stdin[f"{op.label}-stdin"], call[control] = call[control], "-"
+        calls[f"{op.label}-stdin"] = call
+    for k, (c, t) in enumerate(FAMILY_PAIRS):
+        calls[f"family-{c}-{t}"] = [
+            "simulate", "--dist-c", LAWS[c], "--dist-t", LAWS[t], "--n-c", "120", "--n-t", "90",
+            "--q", ("0.1", "0.5", "0.9")[k % 3], "--replications", "300", "--seed", str(args.seed)]
     for label, call in calls.items():
         out = os.path.join(args.out, f"{label}.out")
-        subprocess.run([sys.executable, "-m", "quantdiff.cli", *call, "--output", out], check=True)
+        with open(stdin.get(label, os.devnull), "rb") as fh:
+            subprocess.run([sys.executable, "-m", "quantdiff.cli", *call, "--output", out],
+                           stdin=fh, check=True)
         with open(out, "rb") as fh:
             print(hashlib.sha256(fh.read()).hexdigest(), label)
     texts = {"help": ["--help"]}

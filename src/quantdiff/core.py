@@ -160,11 +160,12 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     """Read a one-value-per-line CSV file into an :class:`OrderedSample`.
 
     ``source`` may be a path, ``"-"`` for stdin, or an open text stream;
-    paths are read as UTF-8. One byte-order mark at the start of the input
-    is dropped, as Excel's "CSV UTF-8" export writes one; anywhere else it
-    is an error. A value line holds one number in any spelling Python's
-    ``float`` accepts, with surrounding whitespace allowed; blank lines are
-    skipped, and ``skip_header`` drops line 1 whatever it holds.
+    the bytes of a path or of stdin are decoded as strict UTF-8. One
+    byte-order mark at the start of the input is dropped, as Excel's "CSV
+    UTF-8" export writes one; anywhere else it is an error. A value line
+    holds one number in any spelling Python's ``float`` accepts, with
+    surrounding whitespace allowed; blank lines are skipped, and
+    ``skip_header`` drops line 1 whatever it holds.
 
     numpy's C reader parses the input first. When it fails, or reads
     anything but one column of finite values, the per-line parser reads
@@ -176,7 +177,8 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     if not isinstance(source, str):
         stream, name = source, getattr(source, "name", "<stream>")
     elif source == "-":
-        stream, name = sys.stdin, "<stdin>"
+        # Not sys.stdin itself, which decodes with surrogateescape in UTF-8 mode.
+        stream, name = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig"), "<stdin>"
     else:
         stream, name = None, source
     try:
@@ -192,6 +194,9 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
             return ingest_sample(values)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{name}: not valid {exc.encoding.upper()}: {exc}") from exc
+    finally:
+        if source == "-":
+            stream.detach()  # so that the wrapper leaves stdin open
 
 
 # File names that numpy's loadtxt decompresses instead of reading as text.
@@ -214,9 +219,10 @@ def _loadtxt_path(fh: IO[str]) -> str | None:
 def _read_buffered(stream: IO[str], name: str, skip_header: bool) -> OrderedSample:
     """Read a stream once; both parsers work on the buffered text.
 
-    Lines of the buffered text end at a line feed: ``sys.stdin`` has
-    already translated CR LF and a lone CR when it is read. A leading
-    byte-order mark is dropped unless the decoder has dropped it already.
+    Lines of the buffered text end at a line feed: a stream that reads
+    with universal newlines, as files and stdin do here, has already
+    translated CR LF and a lone CR. A leading byte-order mark is dropped
+    unless the decoder has dropped it already.
     """
     text = stream.read()
     if getattr(stream, "encoding", None) != "utf-8-sig":

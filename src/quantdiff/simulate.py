@@ -53,17 +53,24 @@ from .two_step import two_step_ci, two_step_rows
 
 
 class DistFamily(str, Enum):
+    """A scenario family, named after the numpy ``Generator`` method that draws it.
+
+    The sampler passes the family's parameters to that method in order,
+    except exponential's rate, which numpy takes as the scale 1 / rate.
+    """
+
     NORMAL = "normal"
     LOGNORMAL = "lognormal"
     EXPONENTIAL = "exponential"
     UNIFORM = "uniform"
 
 
-_PARAM_COUNT = {
-    DistFamily.NORMAL: 2,
-    DistFamily.LOGNORMAL: 2,
-    DistFamily.EXPONENTIAL: 1,
-    DistFamily.UNIFORM: 2,
+# Each family's parameter count and closed-form q-quantile.
+_FAMILIES = {
+    DistFamily.NORMAL: (2, lambda q, mu, sigma: mu + sigma * normal_quantile(q)),
+    DistFamily.LOGNORMAL: (2, lambda q, mu, sigma: math.exp(mu + sigma * normal_quantile(q))),
+    DistFamily.EXPONENTIAL: (1, lambda q, rate: -math.log1p(-q) / rate),
+    DistFamily.UNIFORM: (2, lambda q, a, b: a + q * (b - a)),
 }
 
 
@@ -84,10 +91,9 @@ class Distribution:
         object.__setattr__(self, "family", family)
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if len(params) != _PARAM_COUNT[family]:
-            raise DomainError(
-                f"{family.value} takes {_PARAM_COUNT[family]} parameters, got {len(params)}"
-            )
+        count = _FAMILIES[family][0]
+        if len(params) != count:
+            raise DomainError(f"{family.value} takes {count} parameters, got {len(params)}")
         if not all(math.isfinite(p) for p in params):
             raise DomainError(f"distribution parameters must be finite: {params}")
         if family in (DistFamily.NORMAL, DistFamily.LOGNORMAL) and params[1] <= 0.0:
@@ -146,20 +152,13 @@ def parse_distribution(text: str) -> Distribution:
 def true_quantile(dist: Distribution, q: float) -> float:
     """Closed-form q-quantile of a scenario distribution."""
     _check_probability(q, "q")
-    if dist.family is DistFamily.NORMAL:
-        mu, sigma = dist.params
-        return mu + sigma * normal_quantile(q)
-    if dist.family is DistFamily.LOGNORMAL:
-        mu, sigma = dist.params
-        try:
-            return math.exp(mu + sigma * normal_quantile(q))
-        except OverflowError:
-            raise DomainError(f"the {q} quantile of {dist} overflows double precision") from None
-    if dist.family is DistFamily.EXPONENTIAL:
-        (rate,) = dist.params
-        return -math.log1p(-q) / rate
-    a, b = dist.params
-    return a + q * (b - a)
+    try:
+        value = _FAMILIES[dist.family][1](q, *dist.params)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the {q} quantile of {dist} overflows double precision")
+    return value
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,9 @@ class CoverageRow:
 
 
 def _sampler(rng: np.random.Generator, dist: Distribution, n: int):
-    """A call that draws n values of ``dist`` from ``rng``."""
-    if dist.family is DistFamily.NORMAL:
-        return partial(rng.normal, dist.params[0], dist.params[1], n)
-    if dist.family is DistFamily.LOGNORMAL:
-        return partial(rng.lognormal, dist.params[0], dist.params[1], n)
-    if dist.family is DistFamily.EXPONENTIAL:
-        return partial(rng.exponential, 1.0 / dist.params[0], n)
-    return partial(rng.uniform, dist.params[0], dist.params[1], n)
+    """A call that draws n values of ``dist`` from ``rng`` (see ``DistFamily``)."""
+    args = (1.0 / dist.params[0],) if dist.family is DistFamily.EXPONENTIAL else dist.params
+    return partial(getattr(rng, dist.family.value), *args, n)
 
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

@@ -283,6 +283,37 @@ class TestCI:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad}: not valid UTF-8: ")
 
+    _BAD_BYTE = (
+        "error: <stdin>: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 2: invalid start byte\n"
+    )
+
+    def test_non_utf8_stdin_exits_2_like_a_file(self, capsys, monkeypatch, identical_files):
+        # In UTF-8 mode sys.stdin decodes with surrogateescape; its bytes
+        # must still be decoded strictly.
+        data = io.BytesIO(b"1\n\xff\n")
+        stdin = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        _, t = identical_files
+        code, out, err = _run(capsys, ["ci", "--control", "-", "--treatment", t, "--q", "0.5"])
+        assert (code, out, err) == (2, "", self._BAD_BYTE)
+        assert not stdin.closed
+
+    def test_non_utf8_stdin_exits_2_in_utf8_mode(self, identical_files):
+        src = str(Path(quantdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        _, t = identical_files
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantdiff.cli", "test", "--control", "-", "--treatment", t,
+             "--q", "0.5", "--d", "0"],
+            input=b"1\n\xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONUTF8": "1"},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == self._BAD_BYTE
+
     def test_byte_order_mark_accepted_on_a_file_and_on_stdin(self, capsys, monkeypatch, tmp_path):
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_bytes(b"1.5\n2.5\n")
@@ -366,7 +397,7 @@ class TestCI:
     def test_stdin_input(self, capsys, monkeypatch, identical_files):
         c, _ = identical_files
         data = "\n".join(str(k) for k in range(1, 102)) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data.encode())))
         code, out, _ = _run(
             capsys,
             ["ci", "--control", "-", "--treatment", c, "--q", "0.5",
@@ -698,14 +729,20 @@ class TestSimulate:
         assert code == 2
         assert "cauchy" in err
 
-    def test_overflowing_true_quantile_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "dist, q, name",
+        [("lognormal(0,1000)", "0.9", "lognormal(0,1000)"),
+         # A subnormal rate: the median log(2) / rate overflows.
+         ("exponential(5e-324)", "0.5", "exponential(4.94066e-324)")],
+    )
+    def test_overflowing_true_quantile_exits_2(self, capsys, dist, q, name):
         code, out, err = _run(
             capsys,
-            ["simulate", "--dist-c", "lognormal(0,1000)", "--q", "0.9",
+            ["simulate", "--dist-c", dist, "--dist-t", "exponential(1)", "--q", q,
              "--replications", "5"],
         )
         assert code == 2 and out == ""
-        assert err == "error: the 0.9 quantile of lognormal(0,1000) overflows double precision\n"
+        assert err == f"error: the {q} quantile of {name} overflows double precision\n"
 
     def test_overflowing_uniform_width_exits_2(self, capsys):
         code, out, err = _run(

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple
@@ -83,6 +84,21 @@ class TestTrueQuantile:
     def test_q_domain(self):
         with pytest.raises(DomainError):
             true_quantile(Distribution.normal(0.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "dist, q, name",
+        [
+            (Distribution.normal(1.7e308, 1e308), 0.9, "normal(1.7e+308,1e+308)"),
+            (Distribution.exponential(5e-324), 0.5, "exponential(4.94066e-324)"),
+            (Distribution.lognormal(0.0, 1000.0), 0.9, "lognormal(0,1000)"),
+        ],
+    )
+    def test_overflow_is_an_error_for_every_family(self, dist, q, name):
+        message = f"the {q} quantile of {name} overflows double precision"
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            true_quantile(dist, q)
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            _scenario(dist_c=Distribution.normal(0.0, 1.0), dist_t=dist, q=q)
 
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
@@ -277,16 +293,11 @@ class TestScenarioSpec:
         with pytest.raises(DomainError):
             _scenario(replications=2**64 + 1)
 
-    @pytest.mark.parametrize(
-        "dist_c, dist_t", [((-1e308, 1.0), (1e308, 1.0)), ((1e308, 1.0), (1.7e308, 1e308))]
-    )
-    def test_true_difference_past_the_float_range(self, dist_c, dist_t):
-        # Two finite quantiles whose difference overflows, and a quantile
-        # mu + sigma z that itself overflows: neither is a true difference.
+    def test_true_difference_past_the_float_range(self):
+        # Two finite quantiles whose difference overflows.
+        dist_c, dist_t = Distribution.normal(-1e308, 1.0), Distribution.normal(1e308, 1.0)
         with pytest.raises(DomainError, match="true difference of the 0.9 quantiles"):
-            _scenario(
-                dist_c=Distribution.normal(*dist_c), dist_t=Distribution.normal(*dist_t), q=0.9
-            )
+            _scenario(dist_c=dist_c, dist_t=dist_t, q=0.9)
 
 
 class TestRunCoverageStudy:
