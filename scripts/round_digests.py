@@ -11,8 +11,11 @@ and once more with ``--asymptotic``, labelled ``<label>-exact`` and
 labelled ``<label>-csv``. Each ``ci`` and ``test`` call runs once more with
 ``--control -`` and the control file on stdin (``<label>-stdin``). A small
 simulate then runs for each pair of families that holds an exponential or a
-uniform arm, which no round draws (``family-<control>-<treatment>``). The
-parser's texts follow, with ``COLUMNS=80``:
+uniform arm, which no round draws (``family-<control>-<treatment>``), and
+a 40/1,000-value simulate at q = 0.01 and a 1,000/40-value one at q = 0.99
+(``edge-q<q>``): their accepted rows reach control count 0 or treatment
+count n_t, so the LR decision reads an infinite order statistic, and it
+rejects at some rows. The parser's texts follow, with ``COLUMNS=80``:
 the top-level ``--help`` (label ``help``), each subcommand's ``--help``
 (``<command>-help``) and each bare subcommand, a usage error
 (``<command>-usage``); each is digested as its stdout, stderr and exit
@@ -66,6 +69,10 @@ def main() -> None:
         calls[f"family-{c}-{t}"] = [
             "simulate", "--dist-c", LAWS[c], "--dist-t", LAWS[t], "--n-c", "120", "--n-t", "90",
             "--q", ("0.1", "0.5", "0.9")[k % 3], "--replications", "300", "--seed", str(args.seed)]
+    for q, n_c, n_t in (("0.01", "40", "1000"), ("0.99", "1000", "40")):
+        calls[f"edge-q{q}"] = [
+            "simulate", "--dist-c", LAWS["normal"], "--dist-t", LAWS["lognormal"], "--n-c", n_c,
+            "--n-t", n_t, "--q", q, "--replications", "2000", "--seed", str(args.seed)]
     for label, call in calls.items():
         out = os.path.join(args.out, f"{label}.out")
         with open(stdin.get(label, os.devnull), "rb") as fh:

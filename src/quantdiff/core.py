@@ -160,7 +160,9 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     """Read a one-value-per-line CSV file into an :class:`OrderedSample`.
 
     ``source`` may be a path, ``"-"`` for stdin, or an open text stream;
-    the bytes of a path or of stdin are decoded as strict UTF-8. One
+    the bytes of a path or of stdin are decoded as strict UTF-8 (a stdin
+    with no byte buffer, an ``io.StringIO`` say, is read as its text, and
+    a closed one raises :class:`ValidationError`). One
     byte-order mark at the start of the input is dropped, as Excel's "CSV
     UTF-8" export writes one; anywhere else it is an error. A value line
     holds one number in any spelling Python's ``float`` accepts, with
@@ -174,11 +176,16 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     1-based line number. Input other than a regular file (stdin, a pipe,
     a name numpy would decompress) is read once and both parse that text.
     """
+    wrapper = None
     if not isinstance(source, str):
         stream, name = source, getattr(source, "name", "<stream>")
     elif source == "-":
-        # Not sys.stdin itself, which decodes with surrogateescape in UTF-8 mode.
-        stream, name = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig"), "<stdin>"
+        stream, name = sys.stdin, "<stdin>"
+        if stream is None or stream.closed:
+            raise ValidationError("<stdin>: standard input is closed")
+        if hasattr(stream, "buffer"):
+            # Its bytes, as sys.stdin decodes with surrogateescape in UTF-8 mode.
+            stream = wrapper = io.TextIOWrapper(stream.buffer, encoding="utf-8-sig")
     else:
         stream, name = None, source
     try:
@@ -195,8 +202,8 @@ def read_sample_csv(source: str | IO[str], skip_header: bool = False) -> Ordered
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{name}: not valid {exc.encoding.upper()}: {exc}") from exc
     finally:
-        if source == "-":
-            stream.detach()  # so that the wrapper leaves stdin open
+        if wrapper is not None:
+            wrapper.detach()  # so that the wrapper leaves stdin open
 
 
 # File names that numpy's loadtxt decompresses instead of reading as text.

@@ -15,11 +15,12 @@ deficits stay below the chi-square threshold; everything outside is
 provably rejected, so the windowed scan is exact. The region depends on
 (n_c, n_t, q, alpha, calibration) alone, so it is built once per such key
 and shared by the conservative interval, the grid export and the coverage
-engine's LR decision. That decision and :func:`lr_test` score count pairs
-by the same kernel: the decision over the region's accepted rows, at the
-control's mode count first, where most rows accept, and :func:`lr_test`
-over the control counts of the span between the two unconstrained
-optima, for (i*, j*, H).
+engine's LR decision. The region accepts a cell by the rule the test
+rejects by, H < threshold on the rounded sum, so that decision is a read
+of it: a row accepts when an accepted row's tau-interval meets the
+union of its accepted treatment counts' intervals. :func:`lr_test` scores
+the control counts of the span between the two unconstrained optima, for
+(i*, j*, H).
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ class AcceptanceGrid:
 
     H(i, j) = g_c[i - i_lo] + g_t[j - j_lo] over the marginal windows that
     start at i_lo and j_lo. Row ``accepted_i[k]`` accepts exactly the
-    counts ``j_first[k]..j_last[k]`` (g_t < threshold - g_c; g_t is
-    unimodal, so the accepted j of a row are contiguous); rows that accept
-    nothing are left out. The CSV export instead flags a cell accepted
-    when the rounded sum h < threshold, which differs only when h rounds
-    onto the threshold. ``calibration`` is the per-arm deficit g_c and g_t hold.
+    counts ``j_first[k]..j_last[k]``, the cells whose rounded sum h is
+    below ``threshold``, the rule of the CSV export and of :func:`lr_test`
+    alike (g_t is unimodal, so the accepted j of a row are contiguous);
+    rows that accept nothing are left out. ``calibration`` is the per-arm
+    deficit g_c and g_t hold.
 
     Grids are cached and shared, so every array is read-only.
     """
@@ -82,24 +83,6 @@ class AcceptanceGrid:
     accepted_i: np.ndarray
     j_first: np.ndarray
     j_last: np.ndarray
-
-
-def _searchsorted_rows(
-    block: np.ndarray, row: np.ndarray, keys: np.ndarray, side: str
-) -> np.ndarray:
-    """``np.searchsorted(block[row[k]], keys[k], side)`` for each k; block rows are sorted.
-
-    One binary-lifting search over all keys: a count moves up by each power
-    of two <= n, largest first, where the value it reaches sorts before the
-    key. ``row`` broadcasts against ``keys``.
-    """
-    n = block.shape[1]
-    count = np.zeros(keys.shape, dtype=np.intp)
-    for power in reversed(range(n.bit_length())):
-        probe = np.minimum(count + (1 << power), n)
-        value = block[row, probe - 1]
-        count = np.where(value < keys if side == "left" else value <= keys, probe, count)
-    return count
 
 
 def _order_stats(y: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -127,23 +110,21 @@ def _shifted(y_t: np.ndarray, d: float) -> np.ndarray:
     return t
 
 
-def _best_pairs(search, y, i, g_c, mode, g_t, j_lo):
+def _best_pairs(t, y, i, g_c, mode, g_t, j_lo):
     """The first least g_c(i) + g_t(j) of each control count i of sorted y, and its j.
 
     The tau-interval [y(i), y(i + 1)) of i, empty at a tie (scored +inf),
-    reaches #{t <= y(i)} and the tie-block ends of t up to #{t < y(i + 1)},
-    as ``search(keys, side)`` counts them. g_t is unimodal, least at k_t
-    (and at k_t - 1 when q(n_t + 1) is an integer), so the best is an end
-    of the tie block holding ``mode`` = t(k_t), #{t < mode} or #{t <= mode},
-    clipped into that range. Sums are compared, not g_t: a large g_c can
-    round two g_t into one sum. g_t starts at count j_lo, and a j past it
-    reads its end: in :func:`lr_test` no j leaves the span's window, and in
-    :func:`lr_rejections` an end short of count 0 or n scores >= threshold.
+    reaches #{t <= y(i)} and the tie-block ends of sorted t up to
+    #{t < y(i + 1)}. g_t is unimodal, least at k_t (and at k_t - 1 when
+    q(n_t + 1) is an integer), so the best is an end of the tie block
+    holding ``mode`` = t(k_t), #{t < mode} or #{t <= mode}, clipped into
+    that range. Sums are compared, not g_t: a large g_c can round two g_t
+    into one sum. g_t starts at count j_lo and holds every j reached.
     """
     lo, hi = _order_stats(y, i), _order_stats(y, i + 1)
-    ends = np.stack([search(mode, "left"), search(mode, "right")])
-    j = np.clip(ends, search(lo, "right"), search(hi, "left"))
-    score = np.where(lo < hi, g_c + g_t[np.clip(j - j_lo, 0, g_t.size - 1)], math.inf)
+    ends = np.stack([t.searchsorted(mode, "left"), t.searchsorted(mode, "right")])
+    j = np.clip(ends, t.searchsorted(lo, "right"), t.searchsorted(hi, "left"))
+    score = np.where(lo < hi, g_c + g_t[j - j_lo], math.inf)
     second = score[1] < score[0]
     return np.where(second, score[1], score[0]), np.where(second, j[1], j[0])
 
@@ -151,30 +132,20 @@ def _best_pairs(search, y, i, g_c, mode, g_t, j_lo):
 def lr_rejections(y_c: np.ndarray, y_t: np.ndarray, spec: QuantileSpec, d: float) -> np.ndarray:
     """``lr_test(...).rejects_at(spec.alpha)`` for each row pair of sorted (R, n_c) and (R, n_t) blocks.
 
-    A read of the exact region: a row accepts when the best count pair of
-    some accepted row i, by :func:`_best_pairs`, has g_c(i) + g_t(j) below
-    the threshold (the sum, not the region's budget rule, so this is
-    exactly H >= threshold). Only accepted rows i can. The control's mode
-    count k_c is an accepted row (g_c(k_c) = 0 and the least g_t is 0), and
-    most rows accept there, so every row reads k_c first, and only the rows
-    that do not accept there read every accepted i.
+    A read of the exact region: a row accepts when, for some accepted row
+    i, the tau-interval [y_c(i), y_c(i + 1)) meets [t(j_first),
+    t(j_last + 1)), the union of the intervals of its accepted treatment
+    counts, t = y_t - d. Intervals are compared on the shifted values, as
+    :func:`lr_test` counts them. The region accepts a cell exactly when the
+    rounded H is below the threshold, so this is exactly H >= threshold.
     """
     t = _shifted(y_t, d)
     region = acceptance_grid(y_c.shape[1], t.shape[1], QuantileSpec(spec.q, spec.alpha, deficits))
-    mode = _order_stats(t, np.array([max_likelihood_index(spec.q, t.shape[1])]))
-
-    def accepts(y: np.ndarray, r: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Whether control rows y, the block's rows r, each accept at some count of i."""
-        search = functools.partial(_searchsorted_rows, t, r[:, None])
-        g_c = region.g_c[i - region.i_lo]
-        score, _ = _best_pairs(search, y, i, g_c, mode[r], region.g_t, region.j_lo)
-        return (score < region.threshold).any(axis=1)
-
-    rows = np.arange(len(y_c))
-    accepted = accepts(y_c, rows, np.array([max_likelihood_index(spec.q, y_c.shape[1])]))
-    rest = np.flatnonzero(~accepted)
-    accepted[rest] = accepts(y_c[rest], rest, region.accepted_i)
-    return ~accepted
+    i = region.accepted_i
+    lo_c, hi_c = _order_stats(y_c, i), _order_stats(y_c, i + 1)
+    lo_t, hi_t = _order_stats(t, region.j_first), _order_stats(t, region.j_last + 1)
+    meets = (lo_c < hi_c) & (lo_t < hi_t) & (lo_c < hi_t) & (lo_t < hi_c)
+    return ~meets.any(axis=1)
 
 
 def lr_test(
@@ -206,7 +177,7 @@ def lr_test(
     i = np.arange(y_c.searchsorted(span_lo), y_c.searchsorted(span_hi, "right") + 1)
     j_lo, g_c = t.searchsorted(span_lo), deficits(i, q, y_c.size)
     g_t = deficits(np.arange(j_lo, t.searchsorted(span_hi, "right") + 1), q, t.size)
-    score, j = _best_pairs(t.searchsorted, y_c, i, g_c, np.array([lo_t]), g_t, j_lo)
+    score, j = _best_pairs(t, y_c, i, g_c, np.array([lo_t]), g_t, j_lo)
     best = int(np.argmin(score))
     statistic = float(score[best])
     return LRTestResult(d, statistic, chi2_sf_1df(statistic), int(i[best]), int(j[best]))
@@ -235,12 +206,30 @@ def _window_deficits(q: float, n: int, threshold: float, calibration) -> tuple[i
             return lo, window
 
 
+def _budgets(g: np.ndarray, threshold: float) -> np.ndarray:
+    """The least double b >= 0 with fl(g + b) >= threshold, for each g >= 0.
+
+    fl(g + b) does not fall as b grows, so a g_t >= 0 is below the budget
+    of g exactly when fl(g + g_t) < threshold, the test's rule; the
+    difference threshold - g can be one ulp off it. Non-negative doubles
+    sort as their bits, so this bisects the bits below those of b =
+    threshold, which always reaches it.
+    """
+    lo = np.zeros(g.shape, dtype=np.int64)
+    hi = np.full(g.shape, np.float64(threshold)).view(np.int64)
+    while (lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        enough = g + mid.view(np.float64) >= threshold
+        lo, hi = np.where(enough, lo, mid + 1), np.where(enough, mid, hi)
+    return hi.view(np.float64)
+
+
 @functools.lru_cache(maxsize=128)
 def _build_region(n_c: int, n_t: int, q: float, alpha: float, calibration) -> AcceptanceGrid:
     threshold = chi2_quantile_1df(alpha)
     i_lo, g_c = _window_deficits(q, n_c, threshold, calibration)
     j_lo, g_t = _window_deficits(q, n_t, threshold, calibration)
-    budget = threshold - g_c
+    budget = _budgets(g_c, threshold)
     # Row i accepts j where g_t(j) < budget(i). The first such j is the
     # first where the running minimum from the left drops below the budget,
     # the last is the last where the running minimum from the right does;

@@ -407,6 +407,40 @@ class TestCI:
         r = json.loads(out.splitlines()[0])
         assert r["lower"] <= 0.0 <= r["upper"]
 
+    def test_stdin_without_a_byte_buffer_is_read_as_text(self, capsys, monkeypatch, identical_files):
+        # A caller may replace sys.stdin with a text-only stream.
+        c, _ = identical_files
+        stdin = io.StringIO("\n".join(str(k) for k in range(1, 102)) + "\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["ci", "--control", "-", "--treatment", c, "--q", "0.5", "--methods", "lr_two_step"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and json.loads(out.splitlines()[0])["n_c"] == 101
+        assert not stdin.closed
+
+    def test_closed_stdin_stream_exits_2(self, capsys, monkeypatch, identical_files):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1\n2\n"))
+        stdin.close()
+        monkeypatch.setattr("sys.stdin", stdin)
+        _, t = identical_files
+        code, out, err = _run(capsys, ["ci", "--control", "-", "--treatment", t, "--q", "0.5"])
+        assert (code, out, err) == (2, "", "error: <stdin>: standard input is closed\n")
+
+    def test_closed_stdin_descriptor_exits_2(self, identical_files):
+        # With descriptor 0 closed (a shell's <&-) Python sets sys.stdin to None.
+        src = str(Path(quantdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        _, t = identical_files
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantdiff.cli", "ci", "--control", "-", "--treatment", t,
+             "--q", "0.5"],
+            preexec_fn=lambda: os.close(0),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: <stdin>: standard input is closed\n"
+
     @pytest.mark.parametrize("command", ["ci", "region"])
     def test_both_arms_from_stdin_exit_2(self, capsys, monkeypatch, command):
         # The treatment would read the stdin the control has exhausted.

@@ -240,34 +240,6 @@ class TestConstrainedMaxIndexes:
             constrained_max_indexes(GRID_101, GRID_101, 0.5, math.inf)
 
 
-# Sizes around each power of two, where the search's first step and its
-# clamp at n change.
-_NEAR_POWERS_OF_TWO = sorted({m for p in range(7) for m in (2**p - 1, 2**p, 2**p + 1)} - {0})
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=hst.integers(0, 2**32 - 1),
-    rows=hst.integers(1, 6),
-    n=hst.one_of(hst.sampled_from(_NEAR_POWERS_OF_TWO), hst.integers(1, 70)),
-    tied=hst.booleans(),
-    size=hst.integers(1, 40),
-)
-def test_searchsorted_rows_matches_numpy_row_by_row(seed, rows, n, tied, size):
-    # Each key's count is numpy's search of its own row, on both sides, for
-    # keys equal to a value of the row (tied or not), half a unit off one,
-    # and +-inf.
-    rng = np.random.default_rng(seed)
-    block = np.sort(rng.integers(0, 3 if tied else 1000, size=(rows, n)).astype(float), axis=1)
-    row = rng.integers(0, rows, size=size)
-    keys = block[row, rng.integers(0, n, size=size)] + rng.choice([-0.5, 0.0, 0.0, 0.5], size=size)
-    infinite = rng.random(size) < 0.2
-    keys[infinite] = rng.choice([-np.inf, np.inf], size=infinite.sum())
-    for side in ("left", "right"):
-        want = [np.searchsorted(block[r], key, side=side) for r, key in zip(row, keys)]
-        assert region._searchsorted_rows(block, row, keys, side).tolist() == want, side
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=hst.integers(0, 2**32 - 1),
@@ -294,7 +266,7 @@ def test_best_pairs_is_the_first_least_sum_of_each_control_count(seed, n_c, n_t,
     g_c, g_t = deficits(i, q, n_c), deficits(np.arange(n_t + 1), q, n_t)
     mode = region._order_stats(t, np.array([max_likelihood_index(q, n_t)]))
     lo, hi = region._order_stats(y_c, i), region._order_stats(y_c, i + 1)
-    score, j = region._best_pairs(t.searchsorted, y_c, i, g_c, mode, g_t, 0)
+    score, j = region._best_pairs(t, y_c, i, g_c, mode, g_t, 0)
     pairs = reachable_pairs(y_c, y_t, d)
     for count in i.tolist():
         js = [pj for pi, pj in pairs if pi == count]
@@ -576,6 +548,18 @@ def _accepted_cells(grid):
     return set(zip((i + grid.i_lo).tolist(), (j + grid.j_lo).tolist()))
 
 
+def _tabled_deficits(k, q, n):
+    """Unimodal deficits of n = 4 and n = 3 values, whatever q says."""
+    tables = {4: [9.0, 3.0, 0.0, 3.0, 9.0], 3: [9.0, 0.8414588206941244, 0.0, 9.0]}
+    return np.array(tables[n])[k]
+
+
+def _span_cells(grid):
+    """The (i, j) of every cell of the grid's accepted rows and spans."""
+    spans = zip(grid.accepted_i.tolist(), grid.j_first.tolist(), grid.j_last.tolist())
+    return {(i, j) for i, first, last in spans for j in range(first, last + 1)}
+
+
 class TestAcceptanceGrid:
     def test_asymptotic_ellipse_101(self):
         grid = acceptance_grid(101, 101, _spec(calibration=asymptotic_deficit))
@@ -674,10 +658,41 @@ class TestAcceptanceGrid:
         assert window.tobytes() == full[lo : lo + window.size].tobytes()
         accepted = np.flatnonzero(full < threshold)
         assert ((lo <= accepted) & (accepted < lo + window.size)).all()
-        # An edge short of count 0 or n rejects, so a count past the window
-        # may read its edge in place of +inf (region._best_pairs does).
+        # An edge short of count 0 or n rejects: the window stops at the
+        # first rejected count.
         edges = {lo: window[0], lo + window.size - 1: window[-1]}
         assert all(g >= threshold for k, g in edges.items() if k not in (0, n))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        g=hst.one_of(hst.floats(0.0, 60.0), hst.floats(0.0, math.inf)),
+        alpha=hst.one_of(
+            hst.sampled_from([1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9999]), hst.floats(1e-12, 0.9999)
+        ),
+    )
+    # threshold - 3.0 is two ulps above the least budget: fl(3.0 + g_t)
+    # rounds onto the threshold already at g_t = 0.8414588206941244.
+    @example(g=3.0, alpha=0.05)
+    def test_budget_is_the_least_double_reaching_the_threshold(self, g, alpha):
+        threshold = chi2_quantile_1df(alpha)
+        b = float(region._budgets(np.array([g]), threshold)[0])
+        assert b >= 0.0 and g + b >= threshold
+        assert b == 0.0 or g + math.nextafter(b, 0.0) < threshold
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        calibration=hst.sampled_from([deficits, asymptotic_deficit]),
+        n_c=hst.integers(1, 400),
+        n_t=hst.integers(1, 400),
+        q=hst.one_of(hst.sampled_from([0.001, 0.05, 0.5, 0.9, 0.999]), hst.floats(0.001, 0.999)),
+        alpha=hst.sampled_from([1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9999]),
+    )
+    # Cell (1, 1) of the tabled grid has g_c = 3.0 and g_t = 0.8414588206941244:
+    # g_t < threshold - g_c, yet the rounded sum is the threshold.
+    @example(calibration=_tabled_deficits, n_c=4, n_t=3, q=0.5, alpha=0.05)
+    def test_spans_are_the_cells_below_the_threshold(self, calibration, n_c, n_t, q, alpha):
+        grid = region._build_region(n_c, n_t, q, alpha, calibration)
+        assert _span_cells(grid) == _accepted_cells(grid)
 
     @settings(max_examples=200, deadline=None)
     @given(
